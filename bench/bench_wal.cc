@@ -245,18 +245,23 @@ int main(int argc, char** argv) {
       "one\nclient applies with fsync=always; reader_wait_ns_per_iter ~ 0 "
       "is the\nreaders-never-pay-fsync acceptance counter.\n\n",
       256);
+  // Wall-clock rates: an fsync waits on the disk, not on the CPU.
   benchmark::RegisterBenchmark(
       "CommitLatency_baseline",
-      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kBaseline); });
+      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kBaseline); })
+      ->UseRealTime();
   benchmark::RegisterBenchmark(
       "CommitLatency_never",
-      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kNever); });
+      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kNever); })
+      ->UseRealTime();
   benchmark::RegisterBenchmark(
       "CommitLatency_group",
-      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kGroup); });
+      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kGroup); })
+      ->UseRealTime();
   benchmark::RegisterBenchmark(
       "CommitLatency_always",
-      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kAlways); });
+      [](benchmark::State& s) { BM_CommitLatency(s, Mode::kAlways); })
+      ->UseRealTime();
   benchmark::RegisterBenchmark("ChecksUnderDurableWriter",
                                BM_ChecksUnderDurableWriter)
       ->UseRealTime()

@@ -118,10 +118,10 @@ void ReplicationSource::ReapFinished() {
 }
 
 void ReplicationSource::ServeSubscriber(Subscriber* sub) {
-  subscribers_->Set(subscribers_->Value() + 1);
+  subscribers_->Add(1);
   Status st = ServeSubscriberImpl(sub->fd);
   if (st.code() == StatusCode::kParseError) protocol_errors_->Inc();
-  subscribers_->Set(subscribers_->Value() - 1);
+  subscribers_->Sub(1);
   ShutdownFd(sub->fd);
   sub->done.store(true, std::memory_order_release);
 }
@@ -179,11 +179,17 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
   auto last_send = std::chrono::steady_clock::now();
   bool sent_anything = false;
   while (!stop_.load(std::memory_order_acquire)) {
+    // Everything published up to `seen_epoch` is in the WAL file once the
+    // flush below returns; a later publish wakes the wait at the bottom.
+    const uint64_t seen_epoch = db_->commit_epoch();
     // Make every record staged by the group-commit buffer visible to the
     // tailer; the fsync schedule is untouched (Flush, not Sync).
     UFILTER_RETURN_NOT_OK(db_->FlushWalToFile());
     auto polled = tailer.Poll(batch_cap);
     UFILTER_RETURN_NOT_OK(polled.status());
+    // An empty poll means the file is drained up to seen_epoch; a
+    // non-empty one may have stopped at the batch cap.
+    const bool caught_up = polled->empty();
 
     ReplRecordsMsg msg;
     uint64_t batch_bytes = 0;
@@ -210,11 +216,12 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
       sent_anything = true;
     }
 
-    // Drain any acks the follower pushed back (non-blocking-ish: a 1ms
-    // recv window per iteration).
+    // Drain whatever acks the follower has pushed back, without blocking:
+    // this runs on every wake (publish or heartbeat), so repl_acked_epoch
+    // is at most one heartbeat_interval stale.
     while (true) {
-      auto got = RecvSome(fd, buf, sizeof(buf),
-                          Deadline(std::chrono::milliseconds(1)));
+      auto got =
+          RecvSome(fd, buf, sizeof(buf), std::chrono::steady_clock::now());
       if (!got.ok()) {
         if (got.status().code() == StatusCode::kDeadlineExceeded) break;
         return got.status();  // subscriber gone
@@ -238,8 +245,11 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
       }
     }
 
-    if (msg.records.empty()) {
-      std::this_thread::sleep_for(options_.poll_interval);
+    // Caught up: sleep until the next publish, Stop(), or the next
+    // heartbeat is due.
+    if (caught_up) {
+      db_->WaitForCommitAfter(seen_epoch,
+                              last_send + options_.heartbeat_interval, &stop_);
     }
   }
   return Status::OK();
@@ -250,6 +260,8 @@ void ReplicationSource::Stop() {
     // Idempotent: the first caller did (or is doing) the teardown.
     if (accept_thread_.joinable()) return;
   }
+  // Subscribers idle in WaitForCommitAfter see stop_ on this wake.
+  db_->WakeCommitWaiters();
   ShutdownFd(listen_fd_);
   if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::unique_ptr<Subscriber>> subs;
@@ -324,12 +336,29 @@ Status Follower::status() const {
 
 bool Follower::WaitForEpoch(uint64_t epoch,
                             std::chrono::milliseconds timeout) const {
-  auto deadline = Deadline(timeout);
-  while (applied_epoch() < epoch) {
-    if (std::chrono::steady_clock::now() >= deadline) return false;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  std::unique_lock<std::mutex> lock(status_mu_);
+  epoch_cv_.wait_for(lock, timeout, [&] {
+    return applied_epoch() >= epoch ||
+           stop_.load(std::memory_order_acquire) || !fatal_.ok();
+  });
+  return applied_epoch() >= epoch;
+}
+
+void Follower::SetAppliedEpoch(uint64_t epoch) {
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    applied_epoch_.store(epoch, std::memory_order_release);
   }
-  return true;
+  epoch_cv_.notify_all();
+}
+
+Status Follower::SetFatal(Status st) {
+  {
+    std::lock_guard<std::mutex> lock(status_mu_);
+    fatal_ = st;
+  }
+  epoch_cv_.notify_all();
+  return st;
 }
 
 std::chrono::milliseconds Follower::BackoffDelay(int attempt) {
@@ -444,13 +473,9 @@ Status Follower::HandleSnapshot(const std::string& payload) {
         relational::EncodeCheckpointFile(msg->epoch, msg->state_payload)));
   }
   Status st = db_->LoadReplicatedSnapshot(msg->epoch, msg->state_payload);
-  if (!st.ok()) {
-    std::lock_guard<std::mutex> lock(status_mu_);
-    fatal_ = st;
-    return st;
-  }
+  if (!st.ok()) return SetFatal(st);
   snapshots_loaded_->Inc();
-  applied_epoch_.store(msg->epoch, std::memory_order_release);
+  SetAppliedEpoch(msg->epoch);
   std::string ack = FramePayload(EncodeReplAck({msg->epoch}));
   int fd = fd_.load(std::memory_order_acquire);
   return SendAll(fd, ack.data(), ack.size(), Deadline(kWriteTimeout));
@@ -475,14 +500,10 @@ Status Follower::HandleRecords(const std::string& payload) {
     apply_ns_->Record(static_cast<uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0)
             .count()));
-    if (!st.ok()) {
-      std::lock_guard<std::mutex> lock(status_mu_);
-      fatal_ = st;
-      return st;
-    }
+    if (!st.ok()) return SetFatal(st);
     records_applied_->Inc();
     bytes_applied_->Add(rec_payload.size());
-    applied_epoch_.store(record->epoch, std::memory_order_release);
+    SetAppliedEpoch(record->epoch);
   }
 
   // Lag gauges come from the primary's own counters stamped on the frame,
@@ -520,6 +541,7 @@ void Follower::Stop() {
     int fd = fd_.load(std::memory_order_acquire);
     if (fd >= 0) ShutdownFd(fd);
   }
+  epoch_cv_.notify_all();  // WaitForEpoch callers return on stop_
   if (thread_.joinable()) thread_.join();
 }
 

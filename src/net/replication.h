@@ -22,6 +22,12 @@
 // never a re-bootstrap and never a double-applied epoch (applies are
 // idempotent for epochs at or below the follower's commit epoch).
 //
+// Shipping is event-driven: each subscriber thread blocks in
+// Database::WaitForCommitAfter and wakes on every publish, flushes the WAL
+// buffer to the file (Flush, not Sync — a record can ship before the
+// primary's fsync covers it) and tails the new records out. It never
+// sleeps on a poll timer while records are waiting.
+//
 // Liveness: the source ships an empty kReplRecords as a heartbeat while
 // the primary is idle, carrying the primary's epoch and WAL byte counts;
 // the follower computes its lag gauges (replication_lag_epochs / _bytes /
@@ -33,6 +39,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <random>
@@ -57,9 +64,10 @@ struct ReplicationSourceOptions {
   /// The primary's WAL file (must match the database's durability config);
   /// the source tails this file — replication requires durability on.
   std::string wal_path;
-  /// How often each subscriber thread polls the WAL for new records.
-  std::chrono::milliseconds poll_interval{20};
   /// Idle heartbeat cadence (empty kReplRecords with fresh lag counters).
+  /// Subscriber threads wake on every publish, so this is the only timer:
+  /// an idle subscriber wakes once per interval, and repl_acked_epoch
+  /// (acks are drained on each wake) is at most one interval stale.
   std::chrono::milliseconds heartbeat_interval{200};
   /// Per-batch payload cap; a subscriber may request a smaller one.
   uint64_t max_batch_bytes = 4u << 20;
@@ -187,7 +195,9 @@ class Follower {
     return applied_epoch_.load(std::memory_order_acquire);
   }
 
-  /// Blocks until applied_epoch() >= epoch or the timeout expires.
+  /// Blocks until applied_epoch() >= epoch, the timeout expires, or the
+  /// follower stops or fails (a waiter never outlives either); true iff
+  /// the epoch was reached. Woken by each applied epoch.
   bool WaitForEpoch(uint64_t epoch, std::chrono::milliseconds timeout) const;
 
   FollowerStats stats() const;
@@ -211,6 +221,11 @@ class Follower {
   Status HandleSnapshot(const std::string& payload);
   Status HandleRecords(const std::string& payload);
   std::chrono::milliseconds BackoffDelay(int attempt);
+  /// Advances applied_epoch_ and wakes WaitForEpoch callers.
+  void SetAppliedEpoch(uint64_t epoch);
+  /// Records a failed apply (the stream stops) and wakes WaitForEpoch
+  /// callers; returns `st`.
+  Status SetFatal(Status st);
 
   service::CheckService* service_;
   relational::Database* db_;
@@ -227,6 +242,9 @@ class Follower {
 
   mutable std::mutex status_mu_;
   Status fatal_;  ///< non-OK once an apply failed (stream stopped)
+  /// Waits on status_mu_; notified when applied_epoch_ advances, on a
+  /// failed apply and on Stop().
+  mutable std::condition_variable epoch_cv_;
 
   obs::Counter* connects_;
   obs::Counter* snapshots_loaded_;

@@ -56,10 +56,14 @@ class Counter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// A last-writer-wins gauge (current value, not a total).
+/// A current-value gauge (not a total): Set is last-writer-wins; Add/Sub
+/// adjust it atomically, so concurrent up/down tracking (e.g. a count of
+/// live connections) never loses an update.
 class Gauge {
  public:
   void Set(uint64_t v) { v_.store(v, std::memory_order_relaxed); }
+  void Add(uint64_t d) { v_.fetch_add(d, std::memory_order_relaxed); }
+  void Sub(uint64_t d) { v_.fetch_sub(d, std::memory_order_relaxed); }
   uint64_t Value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -346,6 +346,7 @@ void Database::BuildVersionLocked(uint64_t epoch) {
   version->tables.assign(tables_.begin(), tables_.end());
   published_ = std::move(version);
   live_dirty_ = false;
+  commit_cv_.notify_all();
 }
 
 Result<uint64_t> Database::PublishLocked(Graveyard* graveyard) {
@@ -500,6 +501,25 @@ size_t Database::retained_version_count() const {
 void Database::set_commit_epoch_for_testing(uint64_t epoch) {
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   commit_epoch_ = epoch;
+}
+
+uint64_t Database::WaitForCommitAfter(
+    uint64_t epoch, std::chrono::steady_clock::time_point deadline,
+    const std::atomic<bool>* cancel) const {
+  std::unique_lock<std::mutex> lock(snapshot_mu_);
+  commit_cv_.wait_until(lock, deadline, [&] {
+    return commit_epoch_ > epoch ||
+           (cancel != nullptr && cancel->load(std::memory_order_acquire));
+  });
+  return commit_epoch_;
+}
+
+void Database::WakeCommitWaiters() const {
+  // Taking the mutex orders this wake after any waiter's predicate check:
+  // a waiter either already sees the caller's cancel flag or is asleep and
+  // gets the notification.
+  std::lock_guard<std::mutex> lock(snapshot_mu_);
+  commit_cv_.notify_all();
 }
 
 Table* Database::WritableBaseTable(size_t idx) {

@@ -23,6 +23,8 @@
 #define UFILTER_RELATIONAL_DATABASE_H_
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <limits>
@@ -680,6 +682,20 @@ class Database {
   /// kMaxCommitEpoch) without publishing.
   void set_commit_epoch_for_testing(uint64_t epoch);
 
+  /// Blocks until a version newer than `epoch` is published, `*cancel`
+  /// (when non-null) reads true, or `deadline` passes; returns the commit
+  /// epoch at wake-up. Every publish path (PublishVersion, WriterGuard
+  /// release, OpenSnapshot's publish-on-demand, ApplyReplicatedEpoch,
+  /// LoadReplicatedSnapshot) wakes all waiters. Replication subscriber
+  /// threads block here while they are caught up.
+  uint64_t WaitForCommitAfter(
+      uint64_t epoch, std::chrono::steady_clock::time_point deadline,
+      const std::atomic<bool>* cancel = nullptr) const;
+  /// Wakes every WaitForCommitAfter waiter without a publish, so each
+  /// re-reads its cancel flag. Shutdown sets the flag first, then calls
+  /// this; the flag is read under the same mutex, so no wake-up is lost.
+  void WakeCommitWaiters() const;
+
   /// Resolves `name` among base tables and `ctx`'s temp tables (null ctx =
   /// base tables only).
   Result<Table*> GetTable(const ExecutionContext* ctx,
@@ -837,7 +853,8 @@ class Database {
   /// Drains pending WAL records into the log file *without* forcing an
   /// fsync (kGroup staging is flushed to the fd, the fsync schedule is
   /// untouched): makes every published record visible to a WalTailer (the
-  /// replication source) at its poll cadence. No-op when durability is off.
+  /// replication source, on each publish wake-up). No-op when durability
+  /// is off.
   Status FlushWalToFile();
 
   /// Forwards to WalWriter::set_crash_after_bytes_for_testing (the kill -9
@@ -888,8 +905,9 @@ class Database {
   /// every concurrent OpenSnapshot.
   using Graveyard = std::vector<std::shared_ptr<const Table>>;
 
-  /// Freezes the live tables into a DatabaseVersion stamped `epoch` and
-  /// makes it the published version (snapshot_mu_ held).
+  /// Freezes the live tables into a DatabaseVersion stamped `epoch`,
+  /// makes it the published version and wakes the commit waiters
+  /// (snapshot_mu_ held). Every publish path goes through here.
   void BuildVersionLocked(uint64_t epoch);
   /// Slot-exact restore of a checkpoint image into the (empty) live tables
   /// (snapshot_mu_ held; the RecoverFrom checkpoint phase and the wire
@@ -964,6 +982,9 @@ class Database {
     std::shared_ptr<const Table> table;
   };
   std::vector<RetiredVersion> retired_;
+  /// Signalled (with snapshot_mu_ held) on every publish and by
+  /// WakeCommitWaiters; see WaitForCommitAfter.
+  mutable std::condition_variable commit_cv_;
 
   /// Durability switch; checked (acquire) on every mutation's capture path
   /// so a WAL-free database pays one relaxed-ish load and nothing else.

@@ -9,11 +9,16 @@
 //   - replication_lag_epochs falls to 0 once the primary idles (heartbeats
 //     keep the gauge fresh without commits);
 //   - a follower is read-only: applies come back kRedirectToPrimary naming
-//     the primary, and are never executed locally.
+//     the primary, and are never executed locally;
+//   - shipping is event-driven: a commit reaches the follower even when the
+//     source's only timer (the heartbeat) is 10 s away, Stop() never waits
+//     one out, and acks land within one heartbeat;
+//   - the repl_subscribers gauge counts concurrent subscribers exactly.
 #include "net/replication.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -112,9 +117,9 @@ Node MakeFollowerNode(const Node& primary, bool book) {
   return node;
 }
 
-std::unique_ptr<ReplicationSource> StartSource(Node* primary,
-                                               const std::string& wal) {
-  ReplicationSourceOptions ropts;
+std::unique_ptr<ReplicationSource> StartSource(
+    Node* primary, const std::string& wal,
+    ReplicationSourceOptions ropts = {}) {
   ropts.wal_path = wal;
   auto src = ReplicationSource::Start(
       primary->db.get(), &primary->server->service().registry(), ropts);
@@ -123,8 +128,8 @@ std::unique_ptr<ReplicationSource> StartSource(Node* primary,
 }
 
 std::unique_ptr<Follower> StartFollower(Node* follower_node,
-                                        const ReplicationSource& src) {
-  FollowerOptions fopts;
+                                        const ReplicationSource& src,
+                                        FollowerOptions fopts = {}) {
   fopts.port = src.port();
   return Follower::Start(&follower_node->server->service(),
                          follower_node->db.get(), fopts);
@@ -259,6 +264,170 @@ TEST(ReplicationTest, MidStreamSubscriberBootstrapsFromSnapshot) {
   EXPECT_GT(follower->stats().records_applied, 0u);
 
   follower->Stop();
+  source->Stop();
+}
+
+/// Source and follower whose only timers are 10 s heartbeats / 60 s
+/// liveness: nothing but a publish notification can move a record.
+struct SlowHeartbeatPair {
+  TempDir tmp{"repl_wake"};
+  Node primary;
+  std::unique_ptr<ReplicationSource> source;
+  Node replica;
+  std::unique_ptr<Follower> follower;
+
+  SlowHeartbeatPair() {
+    const std::string wal = tmp.path("primary.wal");
+    primary = MakeChainPrimary(wal);
+    ReplicationSourceOptions ropts;
+    ropts.heartbeat_interval = std::chrono::seconds(10);
+    source = StartSource(&primary, wal, ropts);
+    replica = MakeFollowerNode(primary, /*book=*/false);
+    FollowerOptions fopts;
+    fopts.dead_after = std::chrono::seconds(60);
+    follower = StartFollower(&replica, *source, fopts);
+  }
+  ~SlowHeartbeatPair() {
+    follower->Stop();
+    source->Stop();
+  }
+};
+
+TEST(ReplicationTest, CommitShipsOnPublishNotOnATimer) {
+  SlowHeartbeatPair pair;
+  ASSERT_TRUE(pair.follower->WaitForEpoch(pair.primary.db->commit_epoch(),
+                                          std::chrono::seconds(10)));
+  // Let the subscriber send its first heartbeat and block in the wait.
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+  ASSERT_TRUE(
+      fixtures::ApplyChainBatch(pair.primary.db.get(), kDepth, kRows, 5, 0)
+          .ok());
+  const uint64_t target = pair.primary.db->commit_epoch();
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(pair.follower->WaitForEpoch(target, std::chrono::seconds(2)))
+      << "follower stuck at epoch " << pair.follower->applied_epoch()
+      << " of " << target;
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(2));
+  EXPECT_EQ(StateOf(pair.replica.db.get()), StateOf(pair.primary.db.get()));
+  EXPECT_EQ(pair.follower->stats().connects, 1u) << "no reconnect involved";
+}
+
+TEST(ReplicationTest, StopWakesAnIdleSubscriber) {
+  SlowHeartbeatPair pair;
+  ASSERT_TRUE(pair.follower->WaitForEpoch(pair.primary.db->commit_epoch(),
+                                          std::chrono::seconds(10)));
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  ASSERT_EQ(pair.source->stats().subscribers, 1u);
+
+  // The subscriber sleeps until a heartbeat 10 s away; Stop must not.
+  const auto start = std::chrono::steady_clock::now();
+  pair.source->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(pair.source->stats().subscribers, 0u);
+}
+
+TEST(ReplicationTest, WaitForEpochReturnsWhenTheFollowerStops) {
+  SlowHeartbeatPair pair;
+  ASSERT_TRUE(pair.follower->WaitForEpoch(pair.primary.db->commit_epoch(),
+                                          std::chrono::seconds(10)));
+  const uint64_t unreachable = pair.primary.db->commit_epoch() + 1;
+  const auto start = std::chrono::steady_clock::now();
+  bool reached = true;
+  std::thread waiter([&] {
+    reached = pair.follower->WaitForEpoch(unreachable,
+                                          std::chrono::seconds(30));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  pair.follower->Stop();
+  waiter.join();
+  EXPECT_FALSE(reached);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+TEST(ReplicationTest, AckedEpochCatchesUpWhileThePrimaryIdles) {
+  TempDir tmp("repl_ack");
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("primary.wal");
+  Node primary = MakeChainPrimary(wal);
+  auto source = StartSource(&primary, wal);  // default heartbeat (200 ms)
+  ASSERT_NE(source, nullptr);
+  Node replica = MakeFollowerNode(primary, /*book=*/false);
+  auto follower = StartFollower(&replica, *source);
+
+  for (int b = 0; b < 3; ++b) {
+    ASSERT_TRUE(
+        fixtures::ApplyChainBatch(primary.db.get(), kDepth, kRows, 9, b)
+            .ok());
+  }
+  const uint64_t target = primary.db->commit_epoch();
+  ASSERT_TRUE(follower->WaitForEpoch(target, std::chrono::seconds(10)));
+  // The primary now idles: the follower's last ack is read on the next
+  // heartbeat wake, at most one heartbeat_interval later (2 s is slack for
+  // sanitizer builds).
+  bool acked = false;
+  for (int i = 0; i < 200 && !acked; ++i) {
+    acked = source->stats().acked_epoch >= target;
+    if (!acked) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(acked) << "acked_epoch=" << source->stats().acked_epoch
+                     << " target=" << target;
+  follower->Stop();
+  source->Stop();
+}
+
+TEST(ReplicationTest, SubscriberGaugeCountsConcurrentSubscribersExactly) {
+  TempDir tmp("repl_gauge");
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("primary.wal");
+  Node primary = MakeChainPrimary(wal);
+  auto source = StartSource(&primary, wal);
+  ASSERT_NE(source, nullptr);
+
+  // Eight raw subscribers resume from the primary's epoch (no snapshot),
+  // all connecting at once so the gauge updates race.
+  constexpr int kSubscribers = 8;
+  std::vector<int> fds(kSubscribers, -1);
+  std::atomic<bool> go{false};
+  std::vector<std::thread> dialers;
+  ReplSubscribeMsg sub;
+  sub.start_epoch = primary.db->commit_epoch();
+  const std::string subscribe = FramePayload(EncodeReplSubscribe(sub));
+  for (int i = 0; i < kSubscribers; ++i) {
+    dialers.emplace_back([&, i] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      auto fd = ConnectTcp("127.0.0.1", source->port(),
+                           std::chrono::milliseconds(5000));
+      if (!fd.ok()) return;
+      fds[i] = *fd;
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      (void)SendAll(*fd, kNetMagic, kNetMagicLen, deadline);
+      (void)SendAll(*fd, subscribe.data(), subscribe.size(), deadline);
+    });
+  }
+  go.store(true, std::memory_order_release);
+  for (auto& t : dialers) t.join();
+  for (int fd : fds) ASSERT_GE(fd, 0);
+
+  auto wait_for_gauge = [&](uint64_t want) {
+    for (int i = 0; i < 500; ++i) {
+      if (source->stats().subscribers == want) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    return false;
+  };
+  EXPECT_TRUE(wait_for_gauge(kSubscribers))
+      << "subscribers=" << source->stats().subscribers;
+  // Commits fan out to all eight without disturbing the count.
+  ASSERT_TRUE(
+      fixtures::ApplyChainBatch(primary.db.get(), kDepth, kRows, 3, 0).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(source->stats().subscribers, static_cast<uint64_t>(kSubscribers));
+
+  for (int fd : fds) CloseFd(fd);
+  EXPECT_TRUE(wait_for_gauge(0))
+      << "subscribers=" << source->stats().subscribers;
   source->Stop();
 }
 

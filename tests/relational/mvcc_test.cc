@@ -1,10 +1,12 @@
 // MVCC snapshot tables: snapshot stability under concurrent commits,
 // epoch-based garbage collection of superseded table versions, the
 // read-only pin that excludes lost updates / write skew from the snapshot
-// path, and the commit-epoch overflow guard. Runs under TSAN in CI.
+// path, the commit-epoch overflow guard, and the commit notification every
+// publish path raises. Runs under TSAN in CI.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -14,6 +16,7 @@
 #include "fixtures/bookdb.h"
 #include "relational/database.h"
 #include "relational/query.h"
+#include "relational/wal.h"
 
 namespace ufilter::relational {
 namespace {
@@ -336,6 +339,94 @@ TEST(MvccTest, AbandonedWriterTransactionPublishesNoEpoch) {
                     .ok());
   }
   EXPECT_GT(db->commit_epoch(), epoch_before);
+}
+
+/// Starts a thread blocked in WaitForCommitAfter(current epoch) with a 10 s
+/// deadline, runs `publish` once the waiter is asleep, and checks that the
+/// publish, not the deadline, released it.
+template <typename Fn>
+void ExpectPublishWakesWaiter(Database* db, const char* path, Fn publish) {
+  using Clock = std::chrono::steady_clock;
+  const uint64_t before = db->commit_epoch();
+  const auto start = Clock::now();
+  uint64_t woke_at = 0;
+  std::thread waiter([&] {
+    woke_at = db->WaitForCommitAfter(before, start + std::chrono::seconds(10));
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  publish();
+  waiter.join();
+  EXPECT_GT(woke_at, before) << path;
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5))
+      << path << ": the waiter slept to its deadline";
+}
+
+TEST(MvccTest, EveryPublishPathWakesCommitWaiters) {
+  auto db = MakeCounterDb();
+  const std::vector<ColumnPredicate> id1 = {
+      {"id", CompareOp::kEq, Value::Int(1)}};
+  ExpectPublishWakesWaiter(db.get(), "PublishVersion",
+                           [&] { ASSERT_TRUE(db->PublishVersion().ok()); });
+  ExpectPublishWakesWaiter(db.get(), "WriterGuard release", [&] {
+    Database::WriterGuard guard(db.get());
+    ASSERT_TRUE(db->UpdateWhere("counter", {{"value", Value::Int(1)}}, id1)
+                    .ok());
+  });
+  ExpectPublishWakesWaiter(db.get(), "OpenSnapshot publish-on-demand", [&] {
+    ASSERT_TRUE(db->UpdateWhere("counter", {{"value", Value::Int(2)}}, id1)
+                    .ok());
+    (void)db->OpenSnapshot();
+  });
+
+  // The follower's apply path publishes under the shipped epoch.
+  auto follower = MakeCounterDb();
+  ASSERT_TRUE(follower->PublishVersion().ok());
+  const std::vector<RowId> ids =
+      (*follower->GetTable("counter"))->Find(id1, nullptr);
+  ASSERT_EQ(ids.size(), 1u);
+  WalRecord record;
+  record.epoch = follower->commit_epoch() + 1;
+  RedoOp op;
+  op.kind = RedoOp::Kind::kUpdate;
+  op.table = "counter";
+  op.row_id = ids[0];
+  op.row = {Value::Int(1), Value::Int(3)};
+  record.ops.push_back(std::move(op));
+  ExpectPublishWakesWaiter(follower.get(), "ApplyReplicatedEpoch", [&] {
+    ASSERT_TRUE(follower->ApplyReplicatedEpoch(record).ok());
+  });
+  EXPECT_EQ(follower->commit_epoch(), record.epoch);
+}
+
+TEST(MvccTest, WakeCommitWaitersReleasesACancelledWaiterWithoutPublish) {
+  using Clock = std::chrono::steady_clock;
+  auto db = MakeCounterDb();
+  ASSERT_TRUE(db->PublishVersion().ok());
+  const uint64_t before = db->commit_epoch();
+
+  // No publish and no cancel: the deadline ends the wait.
+  EXPECT_EQ(db->WaitForCommitAfter(
+                before, Clock::now() + std::chrono::milliseconds(20)),
+            before);
+
+  std::atomic<bool> cancel{false};
+  const auto start = Clock::now();
+  uint64_t woke_at = 0;
+  std::thread waiter([&] {
+    woke_at = db->WaitForCommitAfter(
+        before, start + std::chrono::seconds(10), &cancel);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  cancel.store(true, std::memory_order_release);
+  db->WakeCommitWaiters();
+  waiter.join();
+  EXPECT_EQ(woke_at, before) << "nothing was published";
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(5));
+
+  // A flag already set never blocks at all.
+  EXPECT_EQ(db->WaitForCommitAfter(before, Clock::now() + std::chrono::hours(1),
+                                   &cancel),
+            before);
 }
 
 TEST(MvccTest, CommitEpochOverflowGuardRefusesToWrap) {

@@ -14,7 +14,11 @@ benchmarks — the CI perf-smoke step uses it to guarantee the benchmark both
 ran and produced its JSON mirror. --require NAME_PREFIX (repeatable) fails
 unless at least one benchmark with that name prefix is present, so a series
 silently dropped from a sweep (e.g. the writers=1 mixed series) is a CI
-failure too. --pair/--min-speedup additionally turn a performance
+failure too. --check also fails on a CPU-time rate posing as a throughput:
+a series that reports items_per_second while its wall-clock real_time is
+more than twice its cpu_time, but lacks Google Benchmark's /real_time name
+suffix (UseRealTime()), divides by the benchmark thread's CPU time rather
+than by elapsed time. --pair/--min-speedup additionally turn a performance
 regression (e.g. the hash-join rescue disappearing) into a CI failure.
 """
 
@@ -98,6 +102,17 @@ def compare(current, baseline):
     return regressions
 
 
+def cpu_time_rates(benches):
+    """Names of series whose items_per_second is a CPU-time artifact."""
+    return [
+        b["name"]
+        for b in benches
+        if "items_per_second" in b
+        and "real_time" not in b["name"].split("/")
+        and b["real_time"] > 2 * b["cpu_time"]
+    ]
+
+
 def pair_speedup(benches, slow_prefix, fast_prefix):
     slow = [time_ns(b) for b in benches if b["name"].startswith(slow_prefix)]
     fast = [time_ns(b) for b in benches if b["name"].startswith(fast_prefix)]
@@ -155,6 +170,14 @@ def main():
             )
         print(f"ok: '{prefix}*' present ({hits} result(s))")
     if args.check:
+        bad = cpu_time_rates(benches)
+        if bad:
+            sys.exit(
+                f"error: '{args.current}': items_per_second of "
+                + ", ".join(bad)
+                + " divides by CPU time, but real_time > 2x cpu_time; "
+                "register the series with UseRealTime()"
+            )
         print(f"ok: '{args.current}' holds {len(benches)} benchmark results")
     else:
         summarize(benches)
