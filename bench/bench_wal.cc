@@ -4,7 +4,11 @@
 // ChecksUnderDurableWriter — the PR 5 mixed sweep with the writer forced
 // through fsync=always, proving snapshot checks never inherit fsync
 // latency (reader_wait_ns_per_iter ~ 0, checks/sec within noise of the
-// non-durable sweep).
+// non-durable sweep), plus PointApply/<rows> — the copy-on-write cost of
+// one point apply + publish as the table grows (wall time and
+// cow_slots_copied_per_apply flat from 200 to 20 000 rows per level) — and
+// PointApplyFanout/<rows>, the same on a foreign key with 1 000 children
+// per parent.
 //
 // Acceptance (ISSUE 6): fsync=group commit latency within 2x of the
 // in-memory baseline — gated via
@@ -15,6 +19,7 @@
 #include "bench_json.h"
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <future>
 #include <memory>
@@ -112,6 +117,128 @@ void BM_CommitLatency(benchmark::State& state, Mode mode) {
   state.counters["wal_bytes_per_commit"] =
       i > 0 ? static_cast<double>(engine.wal_bytes) /
                   static_cast<double>(i)
+            : 0;
+}
+
+// One timed iteration = one point apply + publish on a published chain of
+// `rows` rows per level (durability off, so only MVCC work is timed): a
+// WriterGuard around a value-only recolor of one leaf, spread over the
+// table so successive applies hit different pages. Each apply follows a
+// publish, so it clones the leaf table and copies the one page it writes;
+// the release publishes and retires the superseded version.
+void BM_PointApply(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  auto created = ufilter::fixtures::MakeChainDatabase(kDepth, rows);
+  if (!created.ok()) {
+    state.SkipWithError(created.status().ToString().c_str());
+    return;
+  }
+  std::unique_ptr<Database> db = std::move(*created);
+  (void)db->OpenSnapshot();  // publish the seed: every page is now shared
+  const std::string leaf_table = "t" + std::to_string(kDepth - 1);
+  const std::string key_col = "k" + std::to_string(kDepth - 1);
+  const std::string val_col = "v" + std::to_string(kDepth - 1);
+  const ufilter::relational::EngineStats before = db->SnapshotWorkCounters();
+  int64_t i = 0;
+  for (auto _ : state) {
+    Database::WriterGuard guard(db.get());
+    auto updated = db->UpdateWhere(
+        leaf_table, {{val_col, Value::String(i % 2 == 0 ? "w0" : "w1")}},
+        {{key_col, ufilter::CompareOp::kEq, Value::Int((i * 7919) % rows)}});
+    if (!updated.ok() || *updated != 1) {
+      state.SkipWithError("point apply did not update exactly one row");
+      return;
+    }
+    ++i;
+  }
+  const ufilter::relational::EngineStats d =
+      db->SnapshotWorkCounters().DiffSince(before);
+  state.SetItemsProcessed(i);
+  state.counters["rows_per_level"] = rows;
+  state.counters["cow_slots_copied_per_apply"] =
+      i > 0 ? static_cast<double>(d.cow_slots_copied) / static_cast<double>(i)
+            : 0;
+}
+
+// PointApply on a low-cardinality foreign key: the leaf has kFanout
+// children per parent, so each FK value is shared by ~1 000 rows. One
+// timed iteration inserts a child of parent 0 or deletes the one inserted
+// before it (alternating), each as its own apply + publish, so every apply
+// writes the hot key's index entry. Also reported: the seeding time
+// (seed_ms) and, on the final version, the mean time of an FK probe for a
+// value no row carries (absent_fk_probe_ns) and of a PK probe of a live
+// row (pk_probe_ns).
+constexpr int kFanout = 1000;
+
+void BM_PointApplyFanout(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  const auto seed_start = std::chrono::steady_clock::now();
+  auto created =
+      ufilter::fixtures::MakeFanoutChainDatabase(kDepth, rows, kFanout);
+  const double seed_ms = std::chrono::duration<double, std::milli>(
+                             std::chrono::steady_clock::now() - seed_start)
+                             .count();
+  if (!created.ok()) {
+    state.SkipWithError(created.status().ToString().c_str());
+    return;
+  }
+  std::unique_ptr<Database> db = std::move(*created);
+  (void)db->OpenSnapshot();  // publish the seed: every page is now shared
+  const std::string leaf_table = "t" + std::to_string(kDepth - 1);
+  const std::string key_col = "k" + std::to_string(kDepth - 1);
+  const ufilter::relational::EngineStats before = db->SnapshotWorkCounters();
+  int64_t i = 0;
+  for (auto _ : state) {
+    Database::WriterGuard guard(db.get());
+    const int64_t key = rows + i / 2;
+    bool ok;
+    if (i % 2 == 0) {
+      ok = db->Insert(leaf_table, {Value::Int(key), Value::String("new"),
+                                   Value::Int(0)})
+               .ok();
+    } else {
+      auto deleted = db->DeleteWhere(
+          leaf_table, {{key_col, ufilter::CompareOp::kEq, Value::Int(key)}});
+      ok = deleted.ok() && deleted->deleted_rows == 1;
+    }
+    if (!ok) {
+      state.SkipWithError("fanout apply did not write exactly one row");
+      return;
+    }
+    ++i;
+  }
+  const ufilter::relational::EngineStats d =
+      db->SnapshotWorkCounters().DiffSince(before);
+
+  constexpr int kProbes = 1 << 16;
+  auto snap = db->OpenSnapshot();
+  const ufilter::relational::Table* leaf = snap->FindTable(leaf_table);
+  std::vector<ufilter::relational::RowId> out;
+  size_t found = 0;
+  auto time_probes = [&](int column, int64_t first) {
+    const auto start = std::chrono::steady_clock::now();
+    for (int p = 0; p < kProbes; ++p) {
+      out.clear();
+      leaf->ProbeIndexEq(column, Value::Int(first + p % rows), &out, nullptr);
+      found += out.size();
+    }
+    return std::chrono::duration<double, std::nano>(
+               std::chrono::steady_clock::now() - start)
+               .count() /
+           kProbes;
+  };
+  const double absent_ns = time_probes(2, rows);  // no parent has key >= rows
+  const double pk_ns = time_probes(0, 0);
+  benchmark::DoNotOptimize(found);
+
+  state.SetItemsProcessed(i);
+  state.counters["rows_per_level"] = rows;
+  state.counters["children_per_parent"] = kFanout;
+  state.counters["seed_ms"] = seed_ms;
+  state.counters["absent_fk_probe_ns"] = absent_ns;
+  state.counters["pk_probe_ns"] = pk_ns;
+  state.counters["cow_slots_copied_per_apply"] =
+      i > 0 ? static_cast<double>(d.cow_slots_copied) / static_cast<double>(i)
             : 0;
 }
 
@@ -243,7 +370,11 @@ int main(int argc, char** argv) {
       "/ group(128) /\nalways. Acceptance: group within 2x of baseline.\n"
       "ChecksUnderDurableWriter: %d snapshot checks per iteration while "
       "one\nclient applies with fsync=always; reader_wait_ns_per_iter ~ 0 "
-      "is the\nreaders-never-pay-fsync acceptance counter.\n\n",
+      "is the\nreaders-never-pay-fsync acceptance counter.\n"
+      "PointApply/<rows>: one point apply + publish; wall time and\n"
+      "cow_slots_copied_per_apply stay flat as rows grow.\n"
+      "PointApplyFanout/<rows>: the same with 1 000 children per parent:\n"
+      "insert / delete a child of one hot FK value per apply.\n\n",
       256);
   // Wall-clock rates: an fsync waits on the disk, not on the CPU.
   benchmark::RegisterBenchmark(
@@ -261,6 +392,15 @@ int main(int argc, char** argv) {
   benchmark::RegisterBenchmark(
       "CommitLatency_always",
       [](benchmark::State& s) { BM_CommitLatency(s, Mode::kAlways); })
+      ->UseRealTime();
+  benchmark::RegisterBenchmark("PointApply", BM_PointApply)
+      ->Arg(200)
+      ->Arg(2000)
+      ->Arg(20000)
+      ->UseRealTime();
+  benchmark::RegisterBenchmark("PointApplyFanout", BM_PointApplyFanout)
+      ->Arg(2000)
+      ->Arg(20000)
       ->UseRealTime();
   benchmark::RegisterBenchmark("ChecksUnderDurableWriter",
                                BM_ChecksUnderDurableWriter)

@@ -37,19 +37,43 @@ DatabaseSchema MakeChainSchema(int depth, DeletePolicy policy) {
   return schema;
 }
 
-Status PopulateChain(Database* db, int depth, int rows_per_level) {
+namespace {
+
+// Seeds every level with `rows_per_level` rows; row r of level i > 0
+// references row parent(r) of level i - 1.
+template <typename Parent>
+Status PopulateLevels(Database* db, int depth, int rows_per_level,
+                      Parent parent) {
   for (int i = 0; i < depth; ++i) {
     for (int r = 0; r < rows_per_level; ++r) {
       relational::Row row;
       row.push_back(Value::Int(r));
       row.push_back(Value::String("level" + std::to_string(i) + "_row" +
                                   std::to_string(r)));
-      if (i > 0) row.push_back(Value::Int(r % rows_per_level));
+      if (i > 0) row.push_back(Value::Int(parent(r)));
       UFILTER_RETURN_NOT_OK(db->Insert(T(i), std::move(row)).status());
     }
   }
   db->Checkpoint();
   return Status::OK();
+}
+
+}  // namespace
+
+Status PopulateChain(Database* db, int depth, int rows_per_level) {
+  return PopulateLevels(db, depth, rows_per_level,
+                        [rows_per_level](int r) { return r % rows_per_level; });
+}
+
+Result<std::unique_ptr<Database>> MakeFanoutChainDatabase(
+    int depth, int rows_per_level, int children_per_parent,
+    DeletePolicy policy) {
+  UFILTER_ASSIGN_OR_RETURN(std::unique_ptr<Database> db,
+                           Database::Create(MakeChainSchema(depth, policy)));
+  UFILTER_RETURN_NOT_OK(PopulateLevels(
+      db.get(), depth, rows_per_level,
+      [children_per_parent](int r) { return r / children_per_parent; }));
+  return db;
 }
 
 Result<std::unique_ptr<Database>> MakeChainDatabase(int depth,

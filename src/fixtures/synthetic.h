@@ -33,6 +33,14 @@ Result<std::unique_ptr<relational::Database>> MakeChainDatabase(
     int depth, int rows_per_level,
     relational::DeletePolicy policy = relational::DeletePolicy::kCascade);
 
+/// A chain whose foreign keys have low cardinality: row r of level i
+/// references row r / children_per_parent of level i-1, so each referenced
+/// parent has `children_per_parent` children (the last one fewer when it
+/// does not divide `rows_per_level`). Ends with a Checkpoint().
+Result<std::unique_ptr<relational::Database>> MakeFanoutChainDatabase(
+    int depth, int rows_per_level, int children_per_parent,
+    relational::DeletePolicy policy = relational::DeletePolicy::kCascade);
+
 /// Applies one deterministic pseudo-random mutation batch (1-4 leaf-level
 /// inserts / recolors / deletes-by-color, derived from `seed` and the batch
 /// `index` alone, never from database state) and commits it as a single

@@ -10,7 +10,9 @@
 // snapshot-pinned scan) from a published Table version and is then shared by
 // every reader of that version; it dies with the version when epoch GC
 // retires it (the cache lives on the Table object, and copy-on-write clones
-// deliberately do not inherit it — writers never see columns).
+// deliberately do not inherit it — writers never see columns). Row pages
+// are shared between versions, but the columns are not: every published
+// version builds its own cache from all of its rows.
 //
 // Layout: one typed contiguous array per column — int64_t for INT columns,
 // double for DOUBLE columns (INT values stored in DOUBLE columns are

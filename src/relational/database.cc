@@ -42,7 +42,37 @@ bool Table::AnyValueNull(const Row& row, const std::vector<int>& cols) {
 
 // ---------------------------------------------------------------- Table ---
 
-Table::Table(const TableSchema* schema) : schema_(schema) {
+namespace {
+
+// Generations are process-unique, so a page, shard or posting node stamped
+// by one Table can never be mistaken as owned by another.
+std::atomic<uint64_t> g_next_generation{1};
+
+uint64_t NextGeneration() {
+  return g_next_generation.fetch_add(1, std::memory_order_relaxed);
+}
+
+// Spreads a key hash over all 64 bits: the shard is picked from bits 32..,
+// the slot within a shard from the low bits. A bijection, so equal mixed
+// hashes mean equal key hashes (the old multimap's bucket semantics).
+uint64_t MixHash(size_t h) {
+  uint64_t m = static_cast<uint64_t>(h) * 0x9E3779B97F4A7C15ULL;
+  return m ^ (m >> 29);
+}
+
+// Smallest power-of-two slot count that holds `entries` at < 1/2 load
+// (at 3/4 load, absent-key probes took about twice as long as with
+// std::unordered_multimap).
+size_t ShardCapacityFor(size_t entries) {
+  size_t cap = 8;
+  while (cap < (entries + 1) * 2) cap *= 2;
+  return cap;
+}
+
+}  // namespace
+
+Table::Table(const TableSchema* schema, AtomicEngineStats* cow_stats)
+    : schema_(schema), cow_stats_(cow_stats), generation_(NextGeneration()) {
   // Unique index over the primary key.
   if (!schema_->primary_key().empty()) {
     Index idx;
@@ -75,19 +105,38 @@ Table::Table(const TableSchema* schema) : schema_(schema) {
     }
     if (!dup) indexes_.push_back(std::move(idx));
   }
+  for (Index& idx : indexes_) idx.shards.Append(NewShard(0), generation_);
 }
 
-const Row* Table::GetRow(RowId id) const {
-  if (id < 0 || static_cast<size_t>(id) >= rows_.size()) return nullptr;
-  const auto& slot = rows_[static_cast<size_t>(id)];
-  return slot.has_value() ? &*slot : nullptr;
-}
+Table::Table(const Table& other)
+    : schema_(other.schema_),
+      cow_stats_(other.cow_stats_),
+      generation_(NextGeneration()),
+      pages_(other.pages_),
+      slot_count_(other.slot_count_),
+      live_count_(other.live_count_),
+      indexes_(other.indexes_) {}
 
 std::vector<RowId> Table::AllRowIds() const {
   std::vector<RowId> out;
   out.reserve(live_count_);
-  for (size_t i = 0; i < rows_.size(); ++i) {
-    if (rows_[i].has_value()) out.push_back(static_cast<RowId>(i));
+  for (size_t p = 0; p < pages_.size(); ++p) {
+    const Page& page = pages_[p];
+    const size_t base = p * kPageSlots;
+    const size_t n = std::min(kPageSlots, slot_count_ - base);
+    for (size_t i = 0; i < n; ++i) {
+      if (page.slots[i].has_value()) {
+        out.push_back(static_cast<RowId>(base + i));
+      }
+    }
+  }
+  return out;
+}
+
+std::vector<const std::vector<int>*> Table::UniqueKeyColumns() const {
+  std::vector<const std::vector<int>*> out;
+  for (const Index& idx : indexes_) {
+    if (idx.unique) out.push_back(&idx.column_idx);
   }
   return out;
 }
@@ -128,14 +177,15 @@ double Table::EstimateEqMatches(int column_idx) const {
   if (idx == nullptr) return static_cast<double>(live_count_);
   if (idx->unique) return 1.0;
   if (idx->distinct_keys == 0) return 0.0;
-  return static_cast<double>(idx->map.size()) /
+  return static_cast<double>(idx->entries) /
          static_cast<double>(idx->distinct_keys);
 }
 
 double Table::EstimateEqMatches(int column_idx, const Value& literal) const {
   const Index* idx = FindIndexForColumn(column_idx);
   if (idx == nullptr) return static_cast<double>(live_count_);
-  return static_cast<double>(idx->map.count(HashOneValue(literal)));
+  return static_cast<double>(
+      idx->CountMatches(MixHash(HashOneValue(literal))));
 }
 
 void Table::ProbeIndexEq(int column_idx, const Value& v,
@@ -144,13 +194,12 @@ void Table::ProbeIndexEq(int column_idx, const Value& v,
   const Index* idx = FindIndexForColumn(column_idx);
   if (idx == nullptr) return;
   if (stats != nullptr) stats->index_lookups++;
-  auto range = idx->map.equal_range(HashOneValue(v));
-  for (auto it = range.first; it != range.second; ++it) {
-    const Row* row = GetRow(it->second);
-    if (row != nullptr && (*row)[static_cast<size_t>(column_idx)] == v) {
-      out->push_back(it->second);
-    }
-  }
+  const size_t col = static_cast<size_t>(column_idx);
+  idx->ForEachMatch(MixHash(HashOneValue(v)), [&](RowId id) {
+    const Row* row = GetRow(id);
+    if (row != nullptr && (*row)[col] == v) out->push_back(id);
+    return true;
+  });
 }
 
 std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
@@ -176,13 +225,12 @@ std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
     if (stats != nullptr) stats->index_lookups++;
     // Single-column driver: hash the literal directly, no probe-row alloc.
     const size_t col = static_cast<size_t>(driver->column_idx[0]);
-    auto range = driver->map.equal_range(HashOneValue(driver_pred->literal));
-    for (auto it = range.first; it != range.second; ++it) {
-      const Row* row = GetRow(it->second);
-      if (row != nullptr && (*row)[col] == driver_pred->literal) {
-        candidates.push_back(it->second);
-      }
-    }
+    const Value& literal = driver_pred->literal;
+    driver->ForEachMatch(MixHash(HashOneValue(literal)), [&](RowId id) {
+      const Row* row = GetRow(id);
+      if (row != nullptr && (*row)[col] == literal) candidates.push_back(id);
+      return true;
+    });
   } else {
     candidates = AllRowIds();
     if (stats != nullptr) stats->rows_scanned += candidates.size();
@@ -211,7 +259,7 @@ std::vector<RowId> Table::Find(const std::vector<ColumnPredicate>& preds,
 }
 
 void Table::BulkLoad(std::vector<Row> rows, std::vector<RowId>* ids) {
-  rows_.reserve(rows_.size() + rows.size());
+  ReserveRows(rows.size());
   if (ids != nullptr) ids->reserve(ids->size() + rows.size());
   for (Row& row : rows) {
     RowId id = AppendRow(std::move(row));
@@ -219,88 +267,334 @@ void Table::BulkLoad(std::vector<Row> rows, std::vector<RowId>* ids) {
   }
 }
 
+void Table::CountCopied(size_t slots) const {
+  if (cow_stats_ != nullptr) cow_stats_->cow_slots_copied += slots;
+}
+
+void Table::GrowSlots(size_t n) {
+  while (pages_.size() * kPageSlots < n) {
+    auto page = std::make_shared<Page>();
+    page->owner = generation_;
+    pages_.Append(std::move(page), generation_);
+  }
+  slot_count_ = std::max(slot_count_, n);
+}
+
+std::optional<Row>& Table::MutableSlot(RowId id) {
+  const size_t p = static_cast<size_t>(id) / kPageSlots;
+  // An older version shares this page: this version gets its own copy.
+  if (pages_[p].owner != generation_) CountCopied(kPageSlots);
+  return pages_.Mutable(p, generation_)->slots[static_cast<size_t>(id) %
+                                               kPageSlots];
+}
+
 RowId Table::AppendRow(Row row) {
-  rows_.emplace_back(std::move(row));
-  RowId id = static_cast<RowId>(rows_.size() - 1);
-  IndexInsert(id, *rows_.back());
+  const RowId id = static_cast<RowId>(slot_count_);
+  GrowSlots(slot_count_ + 1);
+  std::optional<Row>& slot = MutableSlot(id);
+  slot = std::move(row);
+  IndexInsert(id, *slot);
   ++live_count_;
   return id;
 }
 
 void Table::EraseRow(RowId id) {
-  auto& slot = rows_[static_cast<size_t>(id)];
-  if (!slot.has_value()) return;
-  IndexErase(id, *slot);
-  slot.reset();
+  const Row* row = GetRow(id);
+  if (row == nullptr) return;
+  IndexErase(id, *row);
+  MutableSlot(id).reset();
   --live_count_;
 }
 
 void Table::RestoreRow(RowId id, Row row) {
-  auto& slot = rows_[static_cast<size_t>(id)];
+  std::optional<Row>& slot = MutableSlot(id);
   slot = std::move(row);
   IndexInsert(id, *slot);
   ++live_count_;
 }
 
 void Table::OverwriteRow(RowId id, Row row) {
-  auto& slot = rows_[static_cast<size_t>(id)];
-  if (slot.has_value()) IndexErase(id, *slot);
-  slot = std::move(row);
-  IndexInsert(id, *slot);
+  const Row* old = GetRow(id);
+  for (Index& idx : indexes_) {
+    const uint64_t h = IndexKeyHash(idx, row);
+    if (old != nullptr) {
+      const uint64_t old_h = IndexKeyHash(idx, *old);
+      // Same key hash => the identical {hash, id} entry: a value-only
+      // update touches (and copies) no index shard.
+      if (old_h == h) continue;
+      IndexRemove(&idx, old_h, id);
+    }
+    IndexAdd(&idx, h, id);
+  }
+  MutableSlot(id) = std::move(row);
 }
 
 void Table::PutSlotForRecovery(RowId id, Row row) {
-  const size_t slot_idx = static_cast<size_t>(id);
-  if (slot_idx >= rows_.size()) rows_.resize(slot_idx + 1);
-  auto& slot = rows_[slot_idx];
-  if (slot.has_value()) return;  // caller validated; never clobber
+  if (GetRow(id) != nullptr) return;  // caller validated; never clobber
+  GrowSlots(static_cast<size_t>(id) + 1);
+  std::optional<Row>& slot = MutableSlot(id);
   slot = std::move(row);
   IndexInsert(id, *slot);
   ++live_count_;
 }
 
-size_t Table::IndexKeyHash(const Index& index, const Row& row) const {
-  return HashRowValues(row, index.column_idx);
+uint64_t Table::IndexKeyHash(const Index& index, const Row& row) {
+  return MixHash(HashRowValues(row, index.column_idx));
+}
+
+std::shared_ptr<Table::Shard> Table::NewShard(size_t entries) const {
+  auto shard = std::make_shared<Shard>();
+  shard->owner = generation_;
+  shard->slots.assign(ShardCapacityFor(entries), IndexEntry{0, kEmptyEntry});
+  return shard;
+}
+
+Table::Shard* Table::MutableShard(Index* idx, size_t s, size_t entries) {
+  const Shard& shard = idx->shards[s];
+  // An older version shares this shard: this version gets its own copy.
+  if (shard.owner != generation_) {
+    CountCopied(shard.slots.size() + shard.postings.size());
+  }
+  if (shard.slots.size() < entries * 2) {
+    // Too full: rehash into a larger shard of our own (which also serves
+    // as the copy-on-write copy). Posting numbers stay valid.
+    std::shared_ptr<Shard> grown = NewShard(entries);
+    for (const IndexEntry& e : shard.slots) {
+      if (e.id != kEmptyEntry) ShardPlace(grown.get(), e);
+    }
+    grown->postings = shard.postings;
+    idx->shards.Replace(s, std::move(grown), generation_);
+  }
+  return idx->shards.Mutable(s, generation_);
+}
+
+Table::PostingNode* Table::MutableNode(std::shared_ptr<PostingNode>* node) {
+  if ((*node)->owner != generation_) {
+    CountCopied((*node)->ids.size());
+    auto copy = std::make_shared<PostingNode>(**node);
+    copy->owner = generation_;
+    *node = std::move(copy);
+  }
+  return node->get();
+}
+
+std::shared_ptr<Table::PostingNode> Table::PostingInsert(
+    std::shared_ptr<PostingNode>* node, RowId id) {
+  PostingNode* n = MutableNode(node);
+  auto at = std::lower_bound(n->ids.begin(), n->ids.end(), id);
+  if (n->kids.empty()) {
+    n->ids.insert(at, id);
+  } else {
+    // The child whose largest id is >= id; a new maximum goes to the last.
+    size_t i = static_cast<size_t>(at - n->ids.begin());
+    if (i == n->ids.size()) --i;
+    std::shared_ptr<PostingNode> right = PostingInsert(&n->kids[i], id);
+    n->ids[i] = n->kids[i]->ids.back();
+    if (right != nullptr) {
+      const auto pos = static_cast<std::ptrdiff_t>(i + 1);
+      n->ids.insert(n->ids.begin() + pos, right->ids.back());
+      n->kids.insert(n->kids.begin() + pos, std::move(right));
+    }
+  }
+  if (n->ids.size() <= kPostingFanout) return nullptr;
+  auto right = std::make_shared<PostingNode>();
+  right->owner = generation_;
+  const auto half = static_cast<std::ptrdiff_t>(n->ids.size() / 2);
+  right->ids.assign(n->ids.begin() + half, n->ids.end());
+  n->ids.erase(n->ids.begin() + half, n->ids.end());
+  if (!n->kids.empty()) {
+    right->kids.assign(std::make_move_iterator(n->kids.begin() + half),
+                       std::make_move_iterator(n->kids.end()));
+    n->kids.erase(n->kids.begin() + half, n->kids.end());
+  }
+  return right;
+}
+
+void Table::PostingErase(std::shared_ptr<PostingNode>* node, RowId id) {
+  PostingNode* n = MutableNode(node);
+  const size_t i = static_cast<size_t>(
+      std::lower_bound(n->ids.begin(), n->ids.end(), id) - n->ids.begin());
+  const auto pos = static_cast<std::ptrdiff_t>(i);
+  if (n->kids.empty()) {
+    n->ids.erase(n->ids.begin() + pos);
+    return;
+  }
+  PostingErase(&n->kids[i], id);
+  if (n->kids[i]->ids.empty()) {
+    n->ids.erase(n->ids.begin() + pos);
+    n->kids.erase(n->kids.begin() + pos);
+  } else {
+    n->ids[i] = n->kids[i]->ids.back();
+  }
+}
+
+bool Table::PostingContains(const PostingNode& node, RowId id) {
+  const auto at = std::lower_bound(node.ids.begin(), node.ids.end(), id);
+  if (at == node.ids.end()) return false;
+  if (node.kids.empty()) return *at == id;
+  return PostingContains(*node.kids[static_cast<size_t>(at - node.ids.begin())],
+                         id);
+}
+
+void Table::IndexAdd(Index* idx, uint64_t h, RowId id) {
+  if (idx->distinct_keys + 1 > kShardEntries * idx->shards.size()) {
+    SplitShards(idx);
+  }
+  const size_t s = (h >> 32) & (idx->shards.size() - 1);
+  Shard* shard = MutableShard(idx, s, idx->shards[s].count + 1);
+  IndexEntry& e = shard->slots[ProbeSlot(*shard, h)];
+  if (e.id == kEmptyEntry) {
+    e = IndexEntry{h, id};
+    ++shard->count;
+    ++idx->distinct_keys;
+  } else if (e.id >= 0) {
+    // The key's second row: both move to a new posting list.
+    auto leaf = std::make_shared<PostingNode>();
+    leaf->owner = generation_;
+    leaf->ids = {std::min(e.id, id), std::max(e.id, id)};
+    e.id = PostingRef(shard->postings.size());
+    shard->postings.push_back(Posting{h, 2, std::move(leaf)});
+  } else {
+    Posting& posting = shard->postings[PostingOf(e.id)];
+    std::shared_ptr<PostingNode> right = PostingInsert(&posting.root, id);
+    if (right != nullptr) {
+      auto root = std::make_shared<PostingNode>();
+      root->owner = generation_;
+      root->ids = {posting.root->ids.back(), right->ids.back()};
+      root->kids.push_back(std::move(posting.root));
+      root->kids.push_back(std::move(right));
+      posting.root = std::move(root);
+    }
+    ++posting.size;
+  }
+  ++idx->entries;
+}
+
+void Table::IndexRemove(Index* idx, uint64_t h, RowId id) {
+  const size_t s = (h >> 32) & (idx->shards.size() - 1);
+  {
+    // Nothing to remove => nothing to copy.
+    const Shard& current = idx->shards[s];
+    const IndexEntry* e = Index::Lookup(current, h);
+    if (e == nullptr) return;
+    if (e->id >= 0 ? e->id != id
+                   : !PostingContains(*current.postings[PostingOf(e->id)].root,
+                                      id)) {
+      return;
+    }
+  }
+  Shard* shard = MutableShard(idx, s, 0);
+  std::vector<IndexEntry>& slots = shard->slots;
+  const size_t found = ProbeSlot(*shard, h);
+  --idx->entries;
+  if (slots[found].id < 0) {
+    const size_t p = PostingOf(slots[found].id);
+    Posting& posting = shard->postings[p];
+    PostingErase(&posting.root, id);
+    while (posting.root->kids.size() == 1) {
+      std::shared_ptr<PostingNode> only = posting.root->kids[0];
+      posting.root = std::move(only);
+    }
+    if (--posting.size > 1) return;
+    // One row left: it moves back into the directory entry.
+    const PostingNode* n = posting.root.get();
+    while (!n->kids.empty()) n = n->kids.front().get();
+    slots[found].id = n->ids.front();
+    ReleasePosting(shard, p);
+    return;
+  }
+  // Backward-shift deletion: pull later run members whose home slot is not
+  // cyclically inside (hole, j] into the hole, so no tombstones are needed.
+  const size_t mask = slots.size() - 1;
+  size_t hole = found;
+  for (size_t j = (hole + 1) & mask; slots[j].id != kEmptyEntry;
+       j = (j + 1) & mask) {
+    const size_t home = slots[j].hash & mask;
+    const bool stays = hole <= j ? (hole < home && home <= j)
+                                 : (hole < home || home <= j);
+    if (!stays) {
+      slots[hole] = slots[j];
+      hole = j;
+    }
+  }
+  slots[hole] = IndexEntry{0, kEmptyEntry};
+  --shard->count;
+  --idx->distinct_keys;
+}
+
+void Table::ReleasePosting(Shard* shard, size_t p) {
+  const size_t last = shard->postings.size() - 1;
+  if (p != last) {
+    shard->postings[p] = std::move(shard->postings[last]);
+    shard->slots[ProbeSlot(*shard, shard->postings[p].hash)].id =
+        PostingRef(p);
+  }
+  shard->postings.pop_back();
+}
+
+void Table::SplitShards(Index* idx) {
+  const size_t old_count = idx->shards.size();
+  const size_t new_mask = old_count * 2 - 1;
+  std::vector<std::shared_ptr<Shard>> split(old_count * 2);
+  for (size_t s = 0; s < old_count; ++s) {
+    // Shard s splits into s and s + old_count by hash bit 32 + log2(count);
+    // size each half for the entries it actually receives.
+    const Shard& old = idx->shards[s];
+    if (old.owner != generation_) {
+      CountCopied(old.slots.size() + old.postings.size());
+    }
+    size_t high = 0;
+    for (const IndexEntry& e : old.slots) {
+      if (e.id != kEmptyEntry && ((e.hash >> 32) & new_mask) != s) ++high;
+    }
+    split[s] = NewShard(old.count - high);
+    split[s + old_count] = NewShard(high);
+    for (IndexEntry e : old.slots) {
+      if (e.id == kEmptyEntry) continue;
+      Shard* to = split[(e.hash >> 32) & new_mask].get();
+      if (e.id < 0) {
+        // The posting list moves with its key; only its number changes.
+        to->postings.push_back(old.postings[PostingOf(e.id)]);
+        e.id = PostingRef(to->postings.size() - 1);
+      }
+      ShardPlace(to, e);
+    }
+  }
+  BlockVector<Shard> shards;
+  shards.Reserve(split.size());
+  for (std::shared_ptr<Shard>& shard : split) {
+    shards.Append(std::move(shard), generation_);
+  }
+  idx->shards = std::move(shards);
+}
+
+void Table::ShardPlace(Shard* shard, const IndexEntry& e) {
+  shard->slots[ProbeSlot(*shard, e.hash)] = e;
+  ++shard->count;
+}
+
+void Table::ReserveRows(size_t rows) {
+  pages_.Reserve((slot_count_ + rows + kPageSlots - 1) / kPageSlots);
+  for (Index& idx : indexes_) {
+    if (idx.entries != 0) continue;
+    size_t count = 1;
+    while (count * kShardEntries < rows) count *= 2;
+    if (count <= idx.shards.size()) continue;
+    BlockVector<Shard> shards;
+    shards.Reserve(count);
+    for (size_t s = 0; s < count; ++s) {
+      shards.Append(NewShard((rows + count - 1) / count), generation_);
+    }
+    idx.shards = std::move(shards);
+  }
 }
 
 void Table::IndexInsert(RowId id, const Row& row) {
-  for (Index& idx : indexes_) {
-    size_t h = IndexKeyHash(idx, row);
-    if (idx.map.find(h) == idx.map.end()) ++idx.distinct_keys;
-    idx.map.emplace(h, id);
-  }
+  for (Index& idx : indexes_) IndexAdd(&idx, IndexKeyHash(idx, row), id);
 }
 
 void Table::IndexErase(RowId id, const Row& row) {
-  for (Index& idx : indexes_) {
-    size_t h = IndexKeyHash(idx, row);
-    auto range = idx.map.equal_range(h);
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == id) {
-        idx.map.erase(it);
-        break;
-      }
-    }
-    if (idx.map.find(h) == idx.map.end() && idx.distinct_keys > 0) {
-      --idx.distinct_keys;
-    }
-  }
-}
-
-RowId Table::FindUniqueConflict(const Row& row, RowId self) const {
-  for (const Index& idx : indexes_) {
-    if (!idx.unique) continue;
-    if (AnyValueNull(row, idx.column_idx)) continue;  // NULL never conflicts
-    auto range = idx.map.equal_range(HashRowValues(row, idx.column_idx));
-    for (auto it = range.first; it != range.second; ++it) {
-      if (it->second == self) continue;
-      const Row* other = GetRow(it->second);
-      if (other != nullptr && RowValuesEqual(*other, row, idx.column_idx)) {
-        return it->second;
-      }
-    }
-  }
-  return -1;
+  for (Index& idx : indexes_) IndexRemove(&idx, IndexKeyHash(idx, row), id);
 }
 
 // ------------------------------------------------------------- Database ---
@@ -309,7 +603,7 @@ Database::Database(DatabaseSchema schema) : schema_(std::move(schema)) {
   root_context_ = std::make_unique<ExecutionContext>(this);
   tables_.reserve(schema_.tables().size());
   for (size_t i = 0; i < schema_.tables().size(); ++i) {
-    tables_.push_back(std::make_shared<Table>(&schema_.tables()[i]));
+    tables_.push_back(std::make_shared<Table>(&schema_.tables()[i], &stats_));
     table_index_[schema_.tables()[i].name()] = i;
   }
 }
@@ -528,7 +822,8 @@ Table* Database::WritableBaseTable(size_t idx) {
   std::shared_ptr<Table>& live = tables_[idx];
   if (live.use_count() > 1) {
     // A published version / pinned snapshot still references this table
-    // version: retire it and mutate a copy (copy-on-write). Snapshot
+    // version: retire it and mutate a clone that shares its pages and
+    // shards (copy-on-write per page / shard on first write). Snapshot
     // readers keep probing the old version lock-free.
     retired_.push_back({commit_epoch_, live});
     live = std::make_shared<Table>(*live);

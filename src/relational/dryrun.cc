@@ -132,30 +132,24 @@ class OpDryRunner {
   /// against rows inserted or updated earlier in the sequence.
   bool HasUniqueConflict(const Table& t, const std::string& table,
                          const Row& row, RowId self) const {
+    if (t.FindUniqueConflict(row, self, [&](RowId id) {
+          return EffectiveRow(t, table, id);
+        }) >= 0) {
+      return true;
+    }
     const TableOverlay* ov = FindOverlay(table);
-    for (const Table::Index& idx : t.indexes_) {
-      if (!idx.unique) continue;
-      if (Table::AnyValueNull(row, idx.column_idx)) continue;  // NULL never conflicts
-      auto range =
-          idx.map.equal_range(Table::HashRowValues(row, idx.column_idx));
-      for (auto it = range.first; it != range.second; ++it) {
-        if (it->second == self) continue;
-        const Row* other = EffectiveRow(t, table, it->second);
-        if (other != nullptr &&
-            Table::RowValuesEqual(*other, row, idx.column_idx)) {
-          return true;
-        }
-      }
-      if (ov == nullptr) continue;
+    if (ov == nullptr) return false;
+    for (const std::vector<int>* cols : t.UniqueKeyColumns()) {
+      if (Table::AnyValueNull(row, *cols)) continue;  // NULL never conflicts
       // Rows whose simulated image left the base index buckets (skipping
       // any that a later op in the sequence deleted).
       for (const auto& [id, image] : ov->updated) {
         if (id == self || ov->deleted.count(id) > 0) continue;
-        if (Table::RowValuesEqual(image, row, idx.column_idx)) return true;
+        if (Table::RowValuesEqual(image, row, *cols)) return true;
       }
       for (const Row& inserted : ov->inserted) {
-        if (!Table::AnyValueNull(inserted, idx.column_idx) &&
-            Table::RowValuesEqual(inserted, row, idx.column_idx)) {
+        if (!Table::AnyValueNull(inserted, *cols) &&
+            Table::RowValuesEqual(inserted, row, *cols)) {
           return true;
         }
       }

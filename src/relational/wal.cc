@@ -886,13 +886,12 @@ Status Database::ApplyCheckpointImageLocked(CheckpointImage&& image) {
     }
     Table* table = tables_[it->second].get();
     const size_t arity = table->schema().columns().size();
+    table->ReserveRows(slots.size());
     for (size_t slot = 0; slot < slots.size(); ++slot) {
       if (!slots[slot].has_value()) {
         // Tombstone: materialize the empty slot so later AppendRows
         // (and WAL-replayed inserts) land on the same RowIds.
-        if (table->SlotCount() <= slot) {
-          table->rows_.resize(slot + 1);
-        }
+        table->GrowSlots(slot + 1);
         continue;
       }
       if (slots[slot]->size() != arity) {

@@ -101,6 +101,8 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
     add("wal_bytes", kCounter, e.wal_bytes);
     add("mvcc_snapshots_opened", kCounter, e.snapshots_opened);
     add("mvcc_versions_retired", kCounter, e.versions_retired);
+    add("mvcc_cow_slots_copied", kCounter, e.cow_slots_copied);
+    add("mvcc_retained_versions", kGauge, db_->retained_version_count());
     add("db_commit_epoch", kGauge, db_->commit_epoch());
     add("db_oldest_pinned_epoch", kGauge, db_->oldest_pinned_epoch());
     check::PlanCacheCounters pc = filter_->plan_cache().counters();

@@ -247,8 +247,12 @@ TEST(ReplicationTest, MidStreamSubscriberBootstrapsFromSnapshot) {
   ASSERT_TRUE(
       follower->WaitForEpoch(pre_subscribe_epoch, std::chrono::seconds(10)));
   // The catch-up came from one snapshot, not a record-by-record replay of
-  // history the subscriber never saw.
+  // history the subscriber never saw. The source counts a snapshot once
+  // its send returns, which can be after the follower has loaded it.
   EXPECT_EQ(follower->stats().snapshots_loaded, 1u);
+  for (int i = 0; i < 200 && source->stats().snapshots_shipped == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
   EXPECT_EQ(source->stats().snapshots_shipped, 1u);
   EXPECT_EQ(StateOf(replica.db.get()), StateOf(primary.db.get()));
 

@@ -485,5 +485,41 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   EXPECT_GE(wire_value("server_connections_accepted"), 1u);
 }
 
+// The MVCC copy-on-write gauges reach a live kMetrics scrape: an apply
+// while a snapshot is pinned copies at least one page
+// (mvcc_cow_slots_copied) and leaves the superseded table version retained
+// for the pin (mvcc_retained_versions) until the pin closes.
+TEST(ServerClientTest, MetricsScrapeExportsCopyOnWriteGauges) {
+  Instance inst = MakeChainInstance(3, 32);
+  ServerOptions opts;
+  opts.service.worker_threads = 2;
+  auto server = Server::Start(inst.uf.get(), opts);
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client(ClientFor(**server));
+
+  auto pin = inst.db->OpenSnapshot();
+  auto resp =
+      client.Check(fixtures::ChainReplaceUpdate(2, 0, "cow-metrics"), true);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
+
+  auto wire = client.Metrics();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  const WireMetric* copied = wire->Find("mvcc_cow_slots_copied");
+  ASSERT_NE(copied, nullptr);
+  EXPECT_GE(copied->value, relational::Table::kPageSlots);
+  const WireMetric* retained = wire->Find("mvcc_retained_versions");
+  ASSERT_NE(retained, nullptr);
+  EXPECT_GE(retained->value, 1u);
+  EXPECT_EQ(retained->value, inst.db->retained_version_count());
+
+  pin.reset();  // GC reclaims the version only the pin still saw
+  auto after = client.Metrics();
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  const WireMetric* released = after->Find("mvcc_retained_versions");
+  ASSERT_NE(released, nullptr);
+  EXPECT_EQ(released->value, 0u);
+}
+
 }  // namespace
 }  // namespace ufilter::net

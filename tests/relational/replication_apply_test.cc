@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "../support/paged_tombstones.h"
 #include "../support/temp_dir.h"
 #include "fixtures/synthetic.h"
 #include "relational/database.h"
@@ -283,6 +284,42 @@ TEST(ReplicatedApplyTest, SnapshotBootstrapThenTailMatchesPrimary) {
   // twin of RecoverFrom's fresh-database precondition.
   EXPECT_FALSE(
       follower->LoadReplicatedSnapshot(boot_epoch, state_payload).ok());
+}
+
+TEST(ReplicatedApplyTest, SnapshotBootstrapKeepsPagedTombstonesAndRowIds) {
+  // The wire bootstrap must reproduce page-straddling and whole-page
+  // tombstones slot-exactly, so the tail shipped after it addresses the
+  // same RowIds on the follower as on the primary.
+  TempDir tmp("repl_paged");
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("primary.wal");
+  auto primary = MakeEmptyChain();
+  DurabilityOptions opts;
+  opts.wal_path = wal;
+  ASSERT_TRUE(primary->EnableDurability(opts).ok());
+  ASSERT_TRUE(test_support::SeedPagedTombstones(primary.get()).ok());
+
+  uint64_t boot_epoch = 0;
+  std::string state_payload;
+  {
+    auto snapshot = primary->OpenSnapshot();
+    boot_epoch = snapshot->epoch();
+    state_payload = EncodeDatabaseState(primary->schema(), *snapshot);
+  }
+  auto follower = MakeEmptyChain();
+  ASSERT_TRUE(
+      follower->LoadReplicatedSnapshot(boot_epoch, state_payload).ok());
+  EXPECT_EQ(StateOf(follower.get()), StateOf(primary.get()));
+  EXPECT_EQ(test_support::LiveRowsById(follower.get()),
+            test_support::LiveRowsById(primary.get()));
+
+  ASSERT_TRUE(test_support::AppendAfterTombstones(primary.get()).ok());
+  ASSERT_TRUE(primary->FlushWalToFile().ok());
+  ShipAll(wal, follower.get());
+  EXPECT_EQ(follower->commit_epoch(), primary->commit_epoch());
+  EXPECT_EQ(StateOf(follower.get()), StateOf(primary.get()));
+  EXPECT_EQ(test_support::LiveRowsById(follower.get()),
+            test_support::LiveRowsById(primary.get()));
 }
 
 TEST(ReplicatedApplyTest, FollowerRelogsLocallyAndResumesAfterRestart) {

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -13,6 +14,7 @@
 #include <utility>
 #include <vector>
 
+#include "../support/paged_tombstones.h"
 #include "../support/temp_dir.h"
 #include "fixtures/synthetic.h"
 #include "relational/database.h"
@@ -393,6 +395,56 @@ TEST(WalRecoveryTest, CheckpointAloneRestoresState) {
   Result<std::string> state = recovered->SerializePublishedState();
   ASSERT_TRUE(state.ok());
   EXPECT_EQ(*state, expect);
+}
+
+TEST(WalRecoveryTest, CheckpointRoundTripKeepsPagedTombstonesAndRowIds) {
+  // Tombstones straddling a page boundary, a tombstoned middle page and a
+  // tombstoned last page must come back slot-exact from a checkpoint, and
+  // WAL records written after it must land on the primary's RowIds.
+  TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("db.wal");
+  const std::string ckpt = tmp.path("db.ckpt");
+  std::unique_ptr<Database> db = MakeEmptyChain();
+  DurabilityOptions opts;
+  opts.wal_path = wal;
+  ASSERT_TRUE(db->EnableDurability(opts).ok());
+  ASSERT_TRUE(test_support::SeedPagedTombstones(db.get()).ok());
+  ASSERT_TRUE(db->WriteCheckpoint(ckpt).ok());
+  auto state_of = [](Database* d) {
+    Result<std::string> state = d->SerializePublishedState();
+    EXPECT_TRUE(state.ok()) << state.status().ToString();
+    return state.ok() ? *state : std::string();
+  };
+
+  std::unique_ptr<Database> from_ckpt = MakeEmptyChain();
+  DurabilityOptions ckpt_only;
+  ckpt_only.wal_path = tmp.path("missing.wal");
+  ckpt_only.checkpoint_path = ckpt;
+  ASSERT_TRUE(from_ckpt->RecoverFrom(ckpt_only).ok());
+  EXPECT_EQ(state_of(from_ckpt.get()), state_of(db.get()));
+  EXPECT_EQ(test_support::LiveRowsById(from_ckpt.get()),
+            test_support::LiveRowsById(db.get()));
+
+  ASSERT_TRUE(test_support::AppendAfterTombstones(db.get()).ok());
+  ASSERT_TRUE(db->SyncWal().ok());
+  std::unique_ptr<Database> with_suffix = MakeEmptyChain();
+  DurabilityOptions both;
+  both.wal_path = wal;
+  both.checkpoint_path = ckpt;
+  ASSERT_TRUE(with_suffix->RecoverFrom(both).ok());
+  EXPECT_EQ(with_suffix->commit_epoch(), db->commit_epoch());
+  EXPECT_EQ(state_of(with_suffix.get()), state_of(db.get()));
+  const std::vector<std::string> rows = test_support::LiveRowsById(db.get());
+  EXPECT_EQ(test_support::LiveRowsById(with_suffix.get()), rows);
+  // The late t1 insert sits past t1's tombstoned last page.
+  const std::string late_t1 =
+      "t1:" + std::to_string(2 * test_support::kPage) + ":";
+  EXPECT_NE(std::find_if(rows.begin(), rows.end(),
+                         [&](const std::string& r) {
+                           return r.rfind(late_t1, 0) == 0;
+                         }),
+            rows.end());
 }
 
 TEST(WalRecoveryTest, TruncatesTornTailThenResumesAppending) {
