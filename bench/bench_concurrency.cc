@@ -41,9 +41,10 @@ using ufilter::check::CheckOptions;
 using ufilter::check::CheckOutcome;
 using ufilter::check::CheckReport;
 using ufilter::check::UFilter;
+using ufilter::bench::MetricDelta;
+using ufilter::obs::RegistrySnapshot;
 using ufilter::service::CheckService;
 using ufilter::service::CheckServiceOptions;
-using ufilter::service::CheckServiceStats;
 using ufilter::service::Session;
 
 constexpr int kDepth = 4;
@@ -91,7 +92,7 @@ void BM_ConcurrentChecks(benchmark::State& state) {
     (void)setup.uf->Prepare(update);
   }
 
-  CheckServiceStats before = svc.Snapshot();
+  RegistrySnapshot before = svc.registry().Collect();
   int64_t checked = 0;
   std::vector<std::future<CheckReport>> futures;
   futures.reserve(kChecksPerIter);
@@ -112,18 +113,18 @@ void BM_ConcurrentChecks(benchmark::State& state) {
       ++checked;
     }
   }
-  CheckServiceStats after = svc.Snapshot();
+  RegistrySnapshot after = svc.registry().Collect();
   state.SetItemsProcessed(checked);
   state.counters["worker_threads"] = threads;
   state.counters["writers"] = 0;
   state.counters["fast_path"] =
-      static_cast<double>(after.fast_path - before.fast_path);
+      MetricDelta(after, before, "service_fast_path");
   state.counters["writer_lane"] =
-      static_cast<double>(after.writer_lane - before.writer_lane);
+      MetricDelta(after, before, "service_writer_lane");
   state.counters["plan_cache_hits"] =
-      static_cast<double>(after.plan_cache.hits - before.plan_cache.hits);
+      MetricDelta(after, before, "plan_cache_hits");
   state.counters["queue_high_water"] =
-      static_cast<double>(after.queue_high_water);
+      static_cast<double>(ufilter::obs::SampleValue(after, "queue_high_water"));
 }
 
 // The mixed sweep: same check workload, plus one writer client saturating
@@ -177,7 +178,7 @@ void BM_MixedChecksOneWriter(benchmark::State& state) {
     }
   });
 
-  CheckServiceStats before = svc.Snapshot();
+  RegistrySnapshot before = svc.registry().Collect();
   int64_t checked = 0;
   std::vector<std::future<CheckReport>> futures;
   futures.reserve(kChecksPerIter);
@@ -203,26 +204,25 @@ void BM_MixedChecksOneWriter(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  CheckServiceStats after = svc.Snapshot();
+  RegistrySnapshot after = svc.registry().Collect();
   const double iters = static_cast<double>(state.iterations());
   state.SetItemsProcessed(checked);
   state.counters["worker_threads"] = threads;
   state.counters["writers"] = 1;
   state.counters["writer_commits"] = static_cast<double>(commits.load());
   state.counters["fast_path"] =
-      static_cast<double>(after.fast_path - before.fast_path);
+      MetricDelta(after, before, "service_fast_path");
   state.counters["writer_lane"] =
-      static_cast<double>(after.writer_lane - before.writer_lane);
+      MetricDelta(after, before, "service_writer_lane");
   state.counters["epochs_published"] =
-      static_cast<double>(after.commit_epoch - before.commit_epoch);
+      MetricDelta(after, before, "db_commit_epoch");
   state.counters["versions_retired"] =
-      static_cast<double>(after.versions_retired - before.versions_retired);
+      MetricDelta(after, before, "mvcc_versions_retired");
   // The acceptance counter: time snapshot readers spent blocked, per
   // iteration. Stays ~0 — readers never inherit writer-lane latency.
   state.counters["reader_wait_ns_per_iter"] =
       iters > 0
-          ? static_cast<double>(after.reader_wait_ns - before.reader_wait_ns) /
-                iters
+          ? MetricDelta(after, before, "service_reader_wait_ns") / iters
           : 0;
 }
 
@@ -304,7 +304,7 @@ void BM_MixedChecksOneWriterWal(benchmark::State& state) {
     }
   });
 
-  CheckServiceStats before = svc.Snapshot();
+  RegistrySnapshot before = svc.registry().Collect();
   int64_t checked = 0;
   std::vector<std::future<CheckReport>> futures;
   futures.reserve(kChecksPerIter);
@@ -329,20 +329,19 @@ void BM_MixedChecksOneWriterWal(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  CheckServiceStats after = svc.Snapshot();
+  RegistrySnapshot after = svc.registry().Collect();
   const double iters = static_cast<double>(state.iterations());
   state.SetItemsProcessed(checked);
   state.counters["worker_threads"] = threads;
   state.counters["writers"] = 1;
   state.counters["writer_commits"] = static_cast<double>(commits.load());
   state.counters["wal_records"] =
-      static_cast<double>(after.wal_records - before.wal_records);
+      MetricDelta(after, before, "wal_records");
   state.counters["wal_fsyncs"] =
-      static_cast<double>(after.wal_fsyncs - before.wal_fsyncs);
+      MetricDelta(after, before, "wal_fsyncs");
   state.counters["reader_wait_ns_per_iter"] =
       iters > 0
-          ? static_cast<double>(after.reader_wait_ns - before.reader_wait_ns) /
-                iters
+          ? MetricDelta(after, before, "service_reader_wait_ns") / iters
           : 0;
 }
 

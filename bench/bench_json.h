@@ -2,6 +2,7 @@
 // machine-readable BENCH_<name>.json in the working directory (Google
 // Benchmark's native JSON schema) so the perf trajectory can accumulate
 // across PRs. Passing an explicit --benchmark_out=... overrides the default.
+// Also the registry-delta helper the service benches report counters with.
 #ifndef UFILTER_BENCH_BENCH_JSON_H_
 #define UFILTER_BENCH_BENCH_JSON_H_
 
@@ -10,7 +11,18 @@
 #include <string>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace ufilter::bench {
+
+/// Growth of one registry series between two Collect() snapshots (a
+/// counter's increase over a timed region).
+inline double MetricDelta(const obs::RegistrySnapshot& after,
+                          const obs::RegistrySnapshot& before,
+                          const char* name) {
+  return static_cast<double>(obs::SampleValue(after, name) -
+                             obs::SampleValue(before, name));
+}
 
 /// Runs all registered benchmarks. Unless the caller already passed a
 /// --benchmark_out flag, results are also written as JSON to

@@ -12,11 +12,12 @@
 //                           from many clients; most requests must come
 //                           back shed or deadline-expired, never hang.
 //
-// Counters are scraped over the wire via the kStatsRequest message (the
-// same path operators use), so shed/deadline_expired/completed work is
-// visible in BENCH_server.json: requests_per_iter, completed_per_iter,
-// shed_per_iter, deadline_expired_per_iter, client_errors_per_iter. The
-// CI gate requires both series and checks the JSON mirror exists.
+// Counters are scraped over the wire with a kMetrics request (the same
+// path operators use, ufilter_metrics), so shed/deadline_expired/completed
+// work is visible in BENCH_server.json: requests_per_iter,
+// completed_per_iter, shed_per_iter, deadline_expired_per_iter,
+// client_errors_per_iter. The CI gate requires both series and checks the
+// JSON mirror exists.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
@@ -33,6 +34,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 
 namespace {
 
@@ -41,7 +43,6 @@ using ufilter::net::Client;
 using ufilter::net::ClientOptions;
 using ufilter::net::Server;
 using ufilter::net::ServerOptions;
-using ufilter::net::StatsMsg;
 
 constexpr int kDepth = 3;
 constexpr int kRowsPerLevel = 64;
@@ -156,17 +157,22 @@ void AttachWireStats(benchmark::State& state, const Rig& rig,
   ClientOptions opts;
   opts.port = rig.server->port();
   Client scraper(opts);
-  auto stats = scraper.ServerStats();
-  StatsMsg wire = stats.ok() ? *stats : StatsMsg{};
+  auto scraped = scraper.Metrics();
+  const ufilter::obs::RegistrySnapshot wire =
+      scraped.ok() ? ufilter::net::SnapshotFromMetrics(*scraped)
+                   : ufilter::obs::RegistrySnapshot{};
+  auto value = [&wire](const char* name) {
+    return static_cast<double>(ufilter::obs::SampleValue(wire, name));
+  };
   const auto avg = benchmark::Counter::kAvgIterations;
   state.counters["requests_per_iter"] =
       benchmark::Counter(static_cast<double>(requests), avg);
   state.counters["completed_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.completed), avg);
+      benchmark::Counter(value("service_completed"), avg);
   state.counters["shed_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.shed), avg);
+      benchmark::Counter(value("service_shed"), avg);
   state.counters["deadline_expired_per_iter"] =
-      benchmark::Counter(static_cast<double>(wire.deadline_expired), avg);
+      benchmark::Counter(value("service_deadline_expired"), avg);
   state.counters["client_errors_per_iter"] =
       benchmark::Counter(static_cast<double>(tally.errors), avg);
 }

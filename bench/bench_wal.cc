@@ -43,9 +43,10 @@ using ufilter::check::UFilter;
 using ufilter::relational::Database;
 using ufilter::relational::DurabilityOptions;
 using ufilter::relational::FsyncPolicy;
+using ufilter::bench::MetricDelta;
+using ufilter::obs::RegistrySnapshot;
 using ufilter::service::CheckService;
 using ufilter::service::CheckServiceOptions;
-using ufilter::service::CheckServiceStats;
 using ufilter::service::Session;
 using ufilter::test_support::TempDir;
 
@@ -316,7 +317,7 @@ void BM_ChecksUnderDurableWriter(benchmark::State& state) {
     }
   });
 
-  CheckServiceStats before = svc.Snapshot();
+  RegistrySnapshot before = svc.registry().Collect();
   int64_t checked = 0;
   std::vector<std::future<CheckReport>> futures;
   futures.reserve(kChecksPerIter);
@@ -341,22 +342,20 @@ void BM_ChecksUnderDurableWriter(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  CheckServiceStats after = svc.Snapshot();
+  RegistrySnapshot after = svc.registry().Collect();
   const double iters = static_cast<double>(state.iterations());
   state.SetItemsProcessed(checked);
   state.counters["writer_commits"] = static_cast<double>(commits.load());
   state.counters["wal_records"] =
-      static_cast<double>(after.wal_records - before.wal_records);
+      MetricDelta(after, before, "wal_records");
   state.counters["wal_fsyncs"] =
-      static_cast<double>(after.wal_fsyncs - before.wal_fsyncs);
+      MetricDelta(after, before, "wal_fsyncs");
   // The acceptance counter: snapshot readers must not inherit the
   // writer's fsync latency (compare with BENCH_concurrency.json's
   // non-durable MixedChecksOneWriter series).
   state.counters["reader_wait_ns_per_iter"] =
       iters > 0
-          ? static_cast<double>(after.reader_wait_ns -
-                                before.reader_wait_ns) /
-                iters
+          ? MetricDelta(after, before, "service_reader_wait_ns") / iters
           : 0;
 }
 

@@ -79,9 +79,6 @@ class Client {
   /// Round-trips a ping (no retries beyond the standard policy).
   Status Ping();
 
-  /// Fetches the server's service/transport counters.
-  Result<StatsMsg> ServerStats();
-
   /// Fetches the server's full metric registry (counters, gauges, latency
   /// histograms) — everything obs::Registry::Collect() sees in-process.
   Result<MetricsMsg> Metrics();

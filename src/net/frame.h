@@ -58,13 +58,12 @@ enum class MsgType : uint8_t {
   kCheckResponse = 2,
   kPing = 3,
   kPong = 4,
-  kStatsRequest = 5,
-  kStatsResponse = 6,
+  // 5 and 6 were a fixed-size stats summary, retired in favour of
+  // kMetrics; PeekType rejects them like any unknown type byte.
   /// Full metric-registry scrape (counters, gauges, histograms) — the
-  /// wire form of obs::Registry::Collect(). kStats stays the cheap
-  /// fixed-size summary; kMetrics carries everything, including the
-  /// counters that used to be wire-invisible (WAL, columnar, plan cache,
-  /// MVCC) and the latency histograms.
+  /// wire form of obs::Registry::Collect(): every service, transport,
+  /// engine, WAL, columnar, plan-cache and MVCC series plus the latency
+  /// histograms.
   kMetricsRequest = 7,
   kMetricsResponse = 8,
   /// Replication plane (epoch-stream snapshot shipping). A follower sends
@@ -132,26 +131,6 @@ struct CheckResponseMsg {
   int64_t rows_affected = 0;
   /// Advisory backoff for kShed/kDraining; 0 otherwise.
   uint32_t retry_after_ms = 0;
-};
-
-/// Service counters exposed over the wire (bench_server scrapes these so
-/// shed/expired work is visible in BENCH_server.json).
-struct StatsMsg {
-  uint64_t submitted = 0;
-  uint64_t completed = 0;
-  uint64_t fast_path = 0;
-  uint64_t writer_lane = 0;
-  uint64_t shed = 0;
-  uint64_t deadline_expired = 0;
-  uint64_t queue_high_water = 0;
-  uint64_t commit_epoch = 0;
-  uint64_t wal_records = 0;
-  uint64_t connections_accepted = 0;
-  uint64_t protocol_errors = 0;
-  uint64_t draining_rejects = 0;
-  /// Admission-queue residency percentiles (push -> worker pop), ns.
-  uint64_t queue_wait_p50_ns = 0;
-  uint64_t queue_wait_p99_ns = 0;
 };
 
 /// One metric in a kMetricsResponse: the wire form of obs::MetricSample.
@@ -228,14 +207,16 @@ struct ReplAckMsg {
   uint64_t applied_epoch = 0;
 };
 
+/// Encoded size of a kReplAck payload (type byte + applied_epoch): the
+/// only frame length a replication source accepts after the handshake.
+inline constexpr size_t kReplAckPayloadLen = 1 + 8;
+
 // --- Message codecs (payloads, no framing) -------------------------------
 
 std::string EncodeCheckRequest(const CheckRequestMsg& msg);
 std::string EncodeCheckResponse(const CheckResponseMsg& msg);
 std::string EncodePing(uint64_t request_id);
 std::string EncodePong(uint64_t request_id);
-std::string EncodeStatsRequest();
-std::string EncodeStatsResponse(const StatsMsg& msg);
 std::string EncodeMetricsRequest();
 std::string EncodeMetricsResponse(const MetricsMsg& msg);
 std::string EncodeReplSubscribe(const ReplSubscribeMsg& msg);
@@ -248,7 +229,6 @@ Result<CheckRequestMsg> DecodeCheckRequest(const std::string& payload);
 Result<CheckResponseMsg> DecodeCheckResponse(const std::string& payload);
 /// Decodes a kPing or kPong payload to its request id.
 Result<uint64_t> DecodePingPong(const std::string& payload);
-Result<StatsMsg> DecodeStatsResponse(const std::string& payload);
 Result<MetricsMsg> DecodeMetricsResponse(const std::string& payload);
 Result<ReplSubscribeMsg> DecodeReplSubscribe(const std::string& payload);
 Result<ReplSnapshotMsg> DecodeReplSnapshot(const std::string& payload);
@@ -277,6 +257,11 @@ class FrameReader {
 
   void Feed(const char* data, size_t n) { buf_.append(data, n); }
 
+  /// From now on every payload must be exactly `len` bytes: any other
+  /// length prefix is a ParseError as soon as the header arrives, instead
+  /// of a wait for a body the peer never meant to send.
+  void RequireFrameLength(size_t len) { exact_frame_ = len; }
+
   /// One complete payload, nullopt (need more bytes), or ParseError.
   Result<std::optional<std::string>> Next();
 
@@ -297,6 +282,8 @@ class FrameReader {
   size_t pos_ = 0;
   bool magic_pending_;
   size_t max_frame_;
+  /// Required payload length; 0 = any length up to max_frame_.
+  size_t exact_frame_ = 0;
 };
 
 }  // namespace ufilter::net

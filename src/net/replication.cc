@@ -128,7 +128,9 @@ void ReplicationSource::ServeSubscriber(Subscriber* sub) {
 
 Status ReplicationSource::ServeSubscriberImpl(int fd) {
   // Handshake: the magic preamble plus exactly one kReplSubscribe frame.
-  FrameReader frames(/*expect_magic=*/true, kReplMaxFrameBytes);
+  // kReplMaxFrameBytes is for the snapshots this side sends; a subscribe
+  // is tiny, so its reader keeps the request plane's cap.
+  FrameReader frames(/*expect_magic=*/true, kDefaultMaxFrameBytes);
   auto handshake_deadline = Deadline(kHandshakeTimeout);
   std::string first;
   char buf[65536];
@@ -150,6 +152,10 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
   }
   auto sub = DecodeReplSubscribe(first);
   UFILTER_RETURN_NOT_OK(sub.status());
+  // From here on the follower only ever sends kReplAck frames, so a
+  // corrupt length prefix fails at its header rather than stalling the
+  // reader until enough later acks arrive to fill the bogus length.
+  frames.RequireFrameLength(kReplAckPayloadLen);
 
   uint64_t batch_cap = options_.max_batch_bytes;
   if (sub->max_batch_bytes > 0) {

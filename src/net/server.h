@@ -13,7 +13,7 @@
 //     advisory retry_after_ms instead of letting bytes pile up;
 //   - broken peers cannot hurt the server: torn frames, corrupt bytes and
 //     severed connections surface as Status, drop only that connection,
-//     and count in ServerStats::protocol_errors;
+//     and count in the server_protocol_errors metric;
 //   - graceful drain (Drain(), wired to SIGTERM in tools/ufilter_server):
 //     stop accepting, answer new requests kDraining, finish or
 //     deadline-expire everything in flight, sync the WAL, then stop.
@@ -67,22 +67,6 @@ struct ServerOptions {
   service::CheckServiceOptions service;
 };
 
-/// Transport-level counters (service-level ones live in CheckServiceStats).
-struct ServerStats {
-  uint64_t connections_accepted = 0;
-  /// Connections dropped for wire damage: bad magic, oversized or
-  /// CRC-failing frames, undecodable messages.
-  uint64_t protocol_errors = 0;
-  uint64_t requests = 0;
-  uint64_t responses = 0;
-  /// Check requests whose deadline was already expired at admission.
-  uint64_t admission_expired = 0;
-  /// Check requests answered kDraining during graceful shutdown.
-  uint64_t draining_rejects = 0;
-  /// Apply requests answered kRedirectToPrimary (follower mode).
-  uint64_t redirected_applies = 0;
-};
-
 class Server {
  public:
   /// Binds, starts the worker pool and the accept loop. `filter` (and its
@@ -97,7 +81,6 @@ class Server {
 
   uint16_t port() const { return port_; }
   service::CheckService& service() { return *service_; }
-  ServerStats stats() const;
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
 
   /// Graceful drain: stop accepting, answer new check requests kDraining,
@@ -113,7 +96,7 @@ class Server {
     bool has_future = false;
     std::future<check::CheckReport> future;
     /// Pre-encoded payload for immediate answers (shed, expired, draining,
-    /// pong, stats) — no future involved.
+    /// pong, metrics) — no future involved.
     std::string ready_payload;
     /// The request's trace (deferred finish): the writer thread appends
     /// the response_write span and seals it. Null when metrics are off or
@@ -159,15 +142,19 @@ class Server {
   std::mutex lifecycle_mu_;
   bool drained_ = false;
 
-  // Registered in the service's metric registry (stable pointers owned by
-  // it), so ServerStats is a registry view and the transport counters are
-  // scrapable remotely alongside everything else.
+  // Transport counters, registered in the service's metric registry
+  // (stable pointers owned by it) and scraped with everything else.
   obs::Counter* connections_accepted_;
+  /// Connections dropped for wire damage: bad magic, oversized or
+  /// CRC-failing frames, undecodable or unknown messages.
   obs::Counter* protocol_errors_;
   obs::Counter* requests_;
   obs::Counter* responses_;
+  /// Check requests whose deadline was already expired at admission.
   obs::Counter* admission_expired_;
+  /// Check requests answered kDraining during graceful shutdown.
   obs::Counter* draining_rejects_;
+  /// Apply requests answered kRedirectToPrimary (follower mode).
   obs::Counter* redirected_applies_;
 };
 

@@ -89,6 +89,13 @@ const MetricSample* FindSample(const RegistrySnapshot& snapshot,
   return nullptr;
 }
 
+uint64_t SampleValue(const RegistrySnapshot& snapshot,
+                     const std::string& name) {
+  const MetricSample* s = FindSample(snapshot, name);
+  if (s == nullptr) return 0;
+  return s->kind == MetricKind::kHistogram ? s->hist.count : s->value;
+}
+
 Counter* Registry::GetCounter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = metrics_.find(name);

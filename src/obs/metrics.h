@@ -1,10 +1,10 @@
 // The metrics registry: named counters, gauges and log-bucketed latency
 // histograms shared by every layer of the service (engine, WAL, plan cache,
 // check service, network front end). One Registry instance backs one
-// service process — the ad-hoc stats structs (CheckServiceStats,
-// ServerStats) are *views* over registry-owned counters rather than
-// separately maintained copies, so the in-process snapshot, the wire stats
-// message and the Prometheus exposition can never disagree.
+// service process, and Collect() is the only way to read it: in-process
+// callers search the snapshot (FindSample / SampleValue), the kMetrics
+// wire message carries the same snapshot, and the Prometheus exposition
+// renders it, so no two readers can disagree.
 //
 // Design constraints, in order:
 //   - recording must be cheap enough for the per-check hot path: counter
@@ -163,13 +163,17 @@ struct MetricSample {
 };
 
 /// A full registry snapshot, sorted by name: the single source every
-/// exposition path (wire message, Prometheus text, stats structs) renders
+/// reader (in-process lookups, wire message, Prometheus text) renders
 /// from.
 using RegistrySnapshot = std::vector<MetricSample>;
 
 /// Finds a sample by exact name; nullptr when absent.
 const MetricSample* FindSample(const RegistrySnapshot& snapshot,
                                const std::string& name);
+
+/// A sample's scalar reading: the counter / gauge value, or a histogram's
+/// count; 0 when the name is absent.
+uint64_t SampleValue(const RegistrySnapshot& snapshot, const std::string& name);
 
 /// \brief The named-metric registry for one service instance.
 ///

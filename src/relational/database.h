@@ -103,102 +103,89 @@ class RelaxedCounter {
   std::atomic<uint64_t> v_{0};
 };
 
-/// Cumulative work counters; benchmarks and tests read these to observe the
-/// cost asymmetries the paper's figures rely on (index lookups vs. scans).
-///
-/// This plain struct is the *snapshot* type of the work-counter mechanism:
-/// `Database::SnapshotWorkCounters()` returns one, `DiffSince` subtracts a
-/// baseline. The live counters are an AtomicEngineStats (below) so that
-/// concurrent check workers can bump them without data races.
+/// Every engine work counter, declared once: X(field, exported metric
+/// name, doc). EngineStats, AtomicEngineStats and the CheckService registry
+/// collector are all generated from this list, so adding a counter is one
+/// entry here. Benchmarks and tests read the counters to observe the cost
+/// asymmetries the paper's figures rely on (index lookups vs. scans).
+#define UFILTER_ENGINE_COUNTERS(X)                                           \
+  X(rows_scanned, "engine_rows_scanned",                                     \
+    "Candidate rows the row executor examined (scans and index probes).")    \
+  X(index_lookups, "engine_index_lookups", "Hash-index probes issued.")      \
+  X(plans_compiled, "engine_plans_compiled",                                 \
+    "Physical plans compiled by the cost-based planner (one per ad-hoc "     \
+    "Execute; prepared probes compile once and then only replay).")          \
+  X(plan_replays, "engine_plan_replays",                                     \
+    "Executions of an already-compiled plan (zero name resolution).")        \
+  X(hash_join_builds, "engine_hash_join_builds",                             \
+    "One-shot hash tables built for unindexed equi-join sides.")             \
+  X(hash_join_probes, "engine_hash_join_probes",                             \
+    "Probes served by those hash tables (replaces per-outer-row scans).")    \
+  X(columnar_builds, "columnar_builds",                                      \
+    "Columnar caches built (one per table version, on its first "            \
+    "snapshot-pinned scan or hash-join build; see relational/columnar.h).")  \
+  X(columnar_scan_rows, "columnar_scan_rows",                                \
+    "Rows fed through vectorized predicate loops or typed hash builds "      \
+    "(the columnar counterpart of rows_scanned).")                           \
+  X(selection_vector_rows, "selection_vector_rows",                          \
+    "Selection-vector entries surviving every fused scan predicate (the "    \
+    "rows a vectorized scan actually hands to the join pipeline).")          \
+  X(rows_inserted, "engine_rows_inserted", "Base-table rows inserted.")      \
+  X(rows_deleted, "engine_rows_deleted", "Base-table rows deleted.")         \
+  X(rows_updated, "engine_rows_updated", "Base-table rows updated.")         \
+  X(undo_records, "engine_undo_records",                                     \
+    "Undo-log records written for rollback of a context's mutations.")       \
+  X(queries_executed, "engine_queries_executed",                             \
+    "SELECT evaluations issued against the engine (probes included).")      \
+  X(batch_queries_executed, "engine_batch_queries_executed",                 \
+    "Merged OR-of-predicates probes evaluated (each counts once in "         \
+    "queries_executed too).")                                                \
+  X(batch_branches_merged, "engine_batch_branches_merged",                   \
+    "Probe branches served by merged queries (savings = "                    \
+    "batch_branches_merged - batch_queries_executed).")                      \
+  X(plan_cache_hits, "plan_cache_hits",                                      \
+    "UFilter::Prepare calls answered from the plan cache.")                  \
+  X(plan_cache_misses, "plan_cache_misses",                                  \
+    "UFilter::Prepare calls that missed the plan cache and compiled.")       \
+  X(updates_compiled, "engine_updates_compiled",                             \
+    "Full compiles (parse + bind + validate) actually performed.")           \
+  X(star_checks, "engine_star_checks",                                       \
+    "STAR dynamic-checking runs actually performed.")                        \
+  X(snapshots_opened, "mvcc_snapshots_opened",                               \
+    "MVCC snapshots pinned via Database::OpenSnapshot.")                     \
+  X(versions_retired, "mvcc_versions_retired",                               \
+    "Superseded table versions released by epoch-based GC (each one was a "  \
+    "copy-on-write clone source that no pinned snapshot can still see).")    \
+  X(cow_slots_copied, "mvcc_cow_slots_copied",                               \
+    "Slots copied because an older version shares them: row slots of a "     \
+    "page (Table::kPageSlots), directory slots plus posting lists of an "    \
+    "index shard (also when a split or rehash rebuilds a shared shard), "    \
+    "and row ids of a posting node; never the table.")                       \
+  X(wal_records, "wal_records",                                              \
+    "WAL records appended (one per published commit epoch while durable).")  \
+  X(wal_fsyncs, "wal_fsyncs",                                                \
+    "fsync(2) calls issued by the WAL writer; with the group-commit policy " \
+    "wal_records / wal_fsyncs is the achieved batching factor.")             \
+  X(wal_bytes, "wal_bytes", "Bytes appended to the WAL (framing included).")
+
+/// The plain *snapshot* type of the work counters (one uint64_t per
+/// UFILTER_ENGINE_COUNTERS entry): `Database::SnapshotWorkCounters()`
+/// returns one, `DiffSince` subtracts a baseline. The live counters are an
+/// AtomicEngineStats (below) so that concurrent check workers can bump them
+/// without data races.
 struct EngineStats {
-  uint64_t rows_scanned = 0;
-  uint64_t index_lookups = 0;
-  /// Physical plans compiled by the cost-based planner (one per ad-hoc
-  /// Execute; prepared probes compile once and then only replay).
-  uint64_t plans_compiled = 0;
-  /// Executions of an already-compiled plan (zero name resolution).
-  uint64_t plan_replays = 0;
-  /// One-shot hash tables built for unindexed equi-join sides.
-  uint64_t hash_join_builds = 0;
-  /// Probes served by those hash tables (replaces per-outer-row scans).
-  uint64_t hash_join_probes = 0;
-  /// Columnar caches built (one per table version, on its first
-  /// snapshot-pinned scan or hash-join build; see relational/columnar.h).
-  uint64_t columnar_builds = 0;
-  /// Rows fed through vectorized predicate loops or typed hash builds (the
-  /// columnar counterpart of rows_scanned).
-  uint64_t columnar_scan_rows = 0;
-  /// Selection-vector entries surviving every fused scan predicate (the
-  /// rows a vectorized scan actually hands to the join pipeline).
-  uint64_t selection_vector_rows = 0;
-  uint64_t rows_inserted = 0;
-  uint64_t rows_deleted = 0;
-  uint64_t rows_updated = 0;
-  uint64_t undo_records = 0;
-  /// SELECT evaluations issued against the engine (probe queries included).
-  uint64_t queries_executed = 0;
-  /// Merged OR-of-predicates probes evaluated (each counts once in
-  /// queries_executed too).
-  uint64_t batch_queries_executed = 0;
-  /// Individual probe branches served by merged queries (savings =
-  /// batch_branches_merged - batch_queries_executed).
-  uint64_t batch_branches_merged = 0;
-  /// U-Filter plan cache: Prepare calls answered from / missing the cache.
-  uint64_t plan_cache_hits = 0;
-  uint64_t plan_cache_misses = 0;
-  /// Full compiles (parse + bind + validate) actually performed.
-  uint64_t updates_compiled = 0;
-  /// STAR dynamic-checking runs actually performed.
-  uint64_t star_checks = 0;
-  /// MVCC snapshots pinned via Database::OpenSnapshot.
-  uint64_t snapshots_opened = 0;
-  /// Superseded table versions released by epoch-based GC (each one was a
-  /// copy-on-write clone source that no pinned snapshot can still see).
-  uint64_t versions_retired = 0;
-  /// Slots copied because an older version shares them: row slots of a
-  /// page (Table::kPageSlots), directory slots plus posting lists of an
-  /// index shard (also when a split or rehash rebuilds a shared shard),
-  /// and row ids of a posting node — never the table.
-  uint64_t cow_slots_copied = 0;
-  /// WAL records appended (one per published commit epoch while durable).
-  uint64_t wal_records = 0;
-  /// fsync(2) calls issued by the WAL writer; with the group-commit policy
-  /// wal_records / wal_fsyncs is the achieved batching factor.
-  uint64_t wal_fsyncs = 0;
-  /// Bytes appended to the WAL (framing included).
-  uint64_t wal_bytes = 0;
+#define UFILTER_ENGINE_FIELD(field, metric, doc) uint64_t field = 0;
+  UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_FIELD)
+#undef UFILTER_ENGINE_FIELD
 
   void Reset() { *this = EngineStats(); }
 
   /// Field-wise `*this - baseline` (counters are monotonic between resets).
   EngineStats DiffSince(const EngineStats& baseline) const {
     EngineStats d = *this;
-    d.rows_scanned -= baseline.rows_scanned;
-    d.index_lookups -= baseline.index_lookups;
-    d.plans_compiled -= baseline.plans_compiled;
-    d.plan_replays -= baseline.plan_replays;
-    d.hash_join_builds -= baseline.hash_join_builds;
-    d.hash_join_probes -= baseline.hash_join_probes;
-    d.columnar_builds -= baseline.columnar_builds;
-    d.columnar_scan_rows -= baseline.columnar_scan_rows;
-    d.selection_vector_rows -= baseline.selection_vector_rows;
-    d.rows_inserted -= baseline.rows_inserted;
-    d.rows_deleted -= baseline.rows_deleted;
-    d.rows_updated -= baseline.rows_updated;
-    d.undo_records -= baseline.undo_records;
-    d.queries_executed -= baseline.queries_executed;
-    d.batch_queries_executed -= baseline.batch_queries_executed;
-    d.batch_branches_merged -= baseline.batch_branches_merged;
-    d.plan_cache_hits -= baseline.plan_cache_hits;
-    d.plan_cache_misses -= baseline.plan_cache_misses;
-    d.updates_compiled -= baseline.updates_compiled;
-    d.star_checks -= baseline.star_checks;
-    d.snapshots_opened -= baseline.snapshots_opened;
-    d.versions_retired -= baseline.versions_retired;
-    d.cow_slots_copied -= baseline.cow_slots_copied;
-    d.wal_records -= baseline.wal_records;
-    d.wal_fsyncs -= baseline.wal_fsyncs;
-    d.wal_bytes -= baseline.wal_bytes;
+#define UFILTER_ENGINE_DIFF(field, metric, doc) d.field -= baseline.field;
+    UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_DIFF)
+#undef UFILTER_ENGINE_DIFF
     return d;
   }
 };
@@ -207,91 +194,22 @@ struct EngineStats {
 /// atomic. Every `stats.field++` / `+= n` call site compiles unchanged; a
 /// consistent plain-value copy is taken with Snapshot().
 struct AtomicEngineStats {
-  RelaxedCounter rows_scanned;
-  RelaxedCounter index_lookups;
-  RelaxedCounter plans_compiled;
-  RelaxedCounter plan_replays;
-  RelaxedCounter hash_join_builds;
-  RelaxedCounter hash_join_probes;
-  RelaxedCounter columnar_builds;
-  RelaxedCounter columnar_scan_rows;
-  RelaxedCounter selection_vector_rows;
-  RelaxedCounter rows_inserted;
-  RelaxedCounter rows_deleted;
-  RelaxedCounter rows_updated;
-  RelaxedCounter undo_records;
-  RelaxedCounter queries_executed;
-  RelaxedCounter batch_queries_executed;
-  RelaxedCounter batch_branches_merged;
-  RelaxedCounter plan_cache_hits;
-  RelaxedCounter plan_cache_misses;
-  RelaxedCounter updates_compiled;
-  RelaxedCounter star_checks;
-  RelaxedCounter snapshots_opened;
-  RelaxedCounter versions_retired;
-  RelaxedCounter cow_slots_copied;
-  RelaxedCounter wal_records;
-  RelaxedCounter wal_fsyncs;
-  RelaxedCounter wal_bytes;
+#define UFILTER_ENGINE_FIELD(field, metric, doc) RelaxedCounter field;
+  UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_FIELD)
+#undef UFILTER_ENGINE_FIELD
 
   EngineStats Snapshot() const {
     EngineStats s;
-    s.rows_scanned = rows_scanned;
-    s.index_lookups = index_lookups;
-    s.plans_compiled = plans_compiled;
-    s.plan_replays = plan_replays;
-    s.hash_join_builds = hash_join_builds;
-    s.hash_join_probes = hash_join_probes;
-    s.columnar_builds = columnar_builds;
-    s.columnar_scan_rows = columnar_scan_rows;
-    s.selection_vector_rows = selection_vector_rows;
-    s.rows_inserted = rows_inserted;
-    s.rows_deleted = rows_deleted;
-    s.rows_updated = rows_updated;
-    s.undo_records = undo_records;
-    s.queries_executed = queries_executed;
-    s.batch_queries_executed = batch_queries_executed;
-    s.batch_branches_merged = batch_branches_merged;
-    s.plan_cache_hits = plan_cache_hits;
-    s.plan_cache_misses = plan_cache_misses;
-    s.updates_compiled = updates_compiled;
-    s.star_checks = star_checks;
-    s.snapshots_opened = snapshots_opened;
-    s.versions_retired = versions_retired;
-    s.cow_slots_copied = cow_slots_copied;
-    s.wal_records = wal_records;
-    s.wal_fsyncs = wal_fsyncs;
-    s.wal_bytes = wal_bytes;
+#define UFILTER_ENGINE_COPY(field, metric, doc) s.field = field;
+    UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_COPY)
+#undef UFILTER_ENGINE_COPY
     return s;
   }
 
   void Reset() {
-    rows_scanned.Reset();
-    index_lookups.Reset();
-    plans_compiled.Reset();
-    plan_replays.Reset();
-    hash_join_builds.Reset();
-    hash_join_probes.Reset();
-    columnar_builds.Reset();
-    columnar_scan_rows.Reset();
-    selection_vector_rows.Reset();
-    rows_inserted.Reset();
-    rows_deleted.Reset();
-    rows_updated.Reset();
-    undo_records.Reset();
-    queries_executed.Reset();
-    batch_queries_executed.Reset();
-    batch_branches_merged.Reset();
-    plan_cache_hits.Reset();
-    plan_cache_misses.Reset();
-    updates_compiled.Reset();
-    star_checks.Reset();
-    snapshots_opened.Reset();
-    versions_retired.Reset();
-    cow_slots_copied.Reset();
-    wal_records.Reset();
-    wal_fsyncs.Reset();
-    wal_bytes.Reset();
+#define UFILTER_ENGINE_RESET(field, metric, doc) field.Reset();
+    UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_RESET)
+#undef UFILTER_ENGINE_RESET
   }
 };
 

@@ -47,9 +47,7 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
       options_(options),
       queue_(options.queue_capacity),
       tracer_(options.trace) {
-  // Service-owned metrics. The named counters below ARE the
-  // CheckServiceStats fields: Snapshot() reads them back out of the
-  // registry objects, and Collect() exposes the same objects remotely.
+  // Service-owned metrics.
   submitted_ = registry_.GetCounter("service_submitted");
   completed_ = registry_.GetCounter("service_completed");
   fast_path_ = registry_.GetCounter("service_fast_path");
@@ -81,33 +79,14 @@ CheckService::CheckService(check::UFilter* filter, CheckServiceOptions options)
     const auto kCounter = obs::MetricKind::kCounter;
     const auto kGauge = obs::MetricKind::kGauge;
     relational::EngineStats e = db_->SnapshotWorkCounters();
-    add("engine_rows_scanned", kCounter, e.rows_scanned);
-    add("engine_rows_inserted", kCounter, e.rows_inserted);
-    add("engine_rows_deleted", kCounter, e.rows_deleted);
-    add("engine_rows_updated", kCounter, e.rows_updated);
-    add("engine_index_lookups", kCounter, e.index_lookups);
-    add("engine_plans_compiled", kCounter, e.plans_compiled);
-    add("engine_plan_replays", kCounter, e.plan_replays);
-    add("engine_hash_join_builds", kCounter, e.hash_join_builds);
-    add("engine_hash_join_probes", kCounter, e.hash_join_probes);
-    add("engine_queries_executed", kCounter, e.queries_executed);
-    add("engine_updates_compiled", kCounter, e.updates_compiled);
-    add("engine_star_checks", kCounter, e.star_checks);
-    add("columnar_builds", kCounter, e.columnar_builds);
-    add("columnar_scan_rows", kCounter, e.columnar_scan_rows);
-    add("selection_vector_rows", kCounter, e.selection_vector_rows);
-    add("wal_records", kCounter, e.wal_records);
-    add("wal_fsyncs", kCounter, e.wal_fsyncs);
-    add("wal_bytes", kCounter, e.wal_bytes);
-    add("mvcc_snapshots_opened", kCounter, e.snapshots_opened);
-    add("mvcc_versions_retired", kCounter, e.versions_retired);
-    add("mvcc_cow_slots_copied", kCounter, e.cow_slots_copied);
+#define UFILTER_ENGINE_SAMPLE(field, metric, doc) \
+  add(metric, kCounter, e.field);
+    UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_SAMPLE)
+#undef UFILTER_ENGINE_SAMPLE
     add("mvcc_retained_versions", kGauge, db_->retained_version_count());
     add("db_commit_epoch", kGauge, db_->commit_epoch());
     add("db_oldest_pinned_epoch", kGauge, db_->oldest_pinned_epoch());
     check::PlanCacheCounters pc = filter_->plan_cache().counters();
-    add("plan_cache_hits", kCounter, pc.hits);
-    add("plan_cache_misses", kCounter, pc.misses);
     add("plan_cache_insertions", kCounter, pc.insertions);
     add("plan_cache_evictions", kCounter, pc.evictions);
     add("queue_depth", kGauge, queue_.size());
@@ -445,38 +424,6 @@ CheckReport CheckService::Process(Request* req) {
                       obs::TraceClock::now());
   }
   return report;
-}
-
-CheckServiceStats CheckService::Snapshot() const {
-  CheckServiceStats s;
-  s.submitted = submitted_->Value();
-  s.completed = completed_->Value();
-  s.fast_path = fast_path_->Value();
-  s.writer_lane = writer_lane_->Value();
-  s.escalations = escalations_->Value();
-  s.shed = shed_->Value();
-  s.deadline_expired = deadline_expired_->Value();
-  s.queue_high_water = queue_.high_water();
-  s.reader_wait_ns = reader_wait_ns_->Value();
-  s.writer_wait_ns = writer_wait_ns_->Value();
-  relational::EngineStats engine = db_->SnapshotWorkCounters();
-  s.snapshots_opened = engine.snapshots_opened;
-  s.versions_retired = engine.versions_retired;
-  s.commit_epoch = db_->commit_epoch();
-  s.oldest_pinned_epoch = db_->oldest_pinned_epoch();
-  s.columnar_builds = engine.columnar_builds;
-  s.columnar_scan_rows = engine.columnar_scan_rows;
-  s.selection_vector_rows = engine.selection_vector_rows;
-  s.wal_records = engine.wal_records;
-  s.wal_fsyncs = engine.wal_fsyncs;
-  s.wal_bytes = engine.wal_bytes;
-  s.wal_group_commit_size =
-      engine.wal_fsyncs > 0 ? engine.wal_records / engine.wal_fsyncs : 0;
-  s.plan_cache = filter_->plan_cache().counters();
-  obs::HistogramSnapshot queue_wait = queue_wait_->Snapshot();
-  s.queue_wait_p50_ns = queue_wait.Percentile(50);
-  s.queue_wait_p99_ns = queue_wait.Percentile(99);
-  return s;
 }
 
 }  // namespace ufilter::service

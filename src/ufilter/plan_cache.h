@@ -8,9 +8,10 @@
 // workers preparing different templates rarely contend. Recency and
 // eviction are therefore *per shard*; construct with `shards = 1` to get
 // the classic single-list LRU (deterministic global eviction order, used by
-// the LRU-order tests). Hit/miss/eviction totals are relaxed atomics,
-// readable while workers run; UFilter additionally mirrors hits/misses into
-// the database's EngineStats.
+// the LRU-order tests). Insertion/eviction totals are relaxed atomics,
+// readable while workers run. Hits and misses are counted once, by
+// UFilter::Prepare, in the database's EngineStats (plan_cache_hits /
+// plan_cache_misses).
 #ifndef UFILTER_UFILTER_PLAN_CACHE_H_
 #define UFILTER_UFILTER_PLAN_CACHE_H_
 
@@ -32,8 +33,6 @@ namespace ufilter::check {
 
 /// Point-in-time copy of the cache's work counters.
 struct PlanCacheCounters {
-  uint64_t hits = 0;
-  uint64_t misses = 0;
   uint64_t insertions = 0;
   uint64_t evictions = 0;
 };
@@ -73,11 +72,7 @@ class PlanCache {
     Shard& shard = ShardFor(key);
     std::lock_guard<std::mutex> lock(shard.mu);
     auto it = shard.index.find(key);
-    if (it == shard.index.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
+    if (it == shard.index.end()) return nullptr;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
     return it->second->second;
   }
@@ -150,19 +145,15 @@ class PlanCache {
     return keys;
   }
 
-  /// Cumulative hit/miss/insertion/eviction counts (relaxed reads; exact
-  /// once workers are quiesced).
+  /// Cumulative insertion/eviction counts (relaxed reads; exact once
+  /// workers are quiesced).
   PlanCacheCounters counters() const {
     PlanCacheCounters c;
-    c.hits = hits_;
-    c.misses = misses_;
     c.insertions = insertions_;
     c.evictions = evictions_;
     return c;
   }
   void ResetCounters() {
-    hits_.Reset();
-    misses_.Reset();
     insertions_.Reset();
     evictions_.Reset();
   }
@@ -211,8 +202,6 @@ class PlanCache {
   mutable std::shared_mutex reshape_mu_;
   size_t capacity_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  relational::RelaxedCounter hits_;
-  relational::RelaxedCounter misses_;
   relational::RelaxedCounter insertions_;
   relational::RelaxedCounter evictions_;
 };

@@ -18,6 +18,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 
 #include "../support/chaos_proxy.h"
 
@@ -43,6 +44,14 @@ Instance MakeChainInstance(int depth, int rows) {
   EXPECT_TRUE(uf.ok()) << uf.status().ToString();
   inst.uf = std::move(*uf);
   return inst;
+}
+
+/// One series of the server's registry as a live kMetrics scrape
+/// reports it; 0 when the scrape fails or the series is absent.
+uint64_t Scraped(Client* client, const char* name) {
+  auto wire = client->Metrics();
+  EXPECT_TRUE(wire.ok()) << wire.status().ToString();
+  return wire.ok() ? obs::SampleValue(SnapshotFromMetrics(*wire), name) : 0;
 }
 
 struct Rig {
@@ -122,7 +131,9 @@ TEST(ChaosTest, CorruptBytesDropConnectionAndCheckRetrySucceeds) {
   EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   EXPECT_GE(client.metrics().retries, 1u);
   EXPECT_GE(client.metrics().reconnects, 2u);
-  EXPECT_GE(rig.server->stats().protocol_errors, 1u);
+  EXPECT_GE(obs::SampleValue(rig.server->service().registry().Collect(),
+                              "server_protocol_errors"),
+            1u);
 }
 
 TEST(ChaosTest, FrameTornMidLengthPrefixIsQuietlyRetried) {
@@ -171,9 +182,8 @@ TEST(ChaosTest, SeveredApplyIsIndeterminateAndNeverRetried) {
   Client observer(direct);
   bool executed = false;
   for (int i = 0; i < 100 && !executed; ++i) {
-    auto stats = observer.ServerStats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    executed = stats->writer_lane >= 1 && stats->completed >= 1;
+    executed = Scraped(&observer, "service_writer_lane") >= 1 &&
+               Scraped(&observer, "service_completed") >= 1;
     if (!executed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_TRUE(executed);
@@ -242,9 +252,7 @@ TEST(ChaosTest, IndeterminateApplyStaysIndeterminateAcrossReconnect) {
   Client observer(direct);
   bool executed = false;
   for (int i = 0; i < 200 && !executed; ++i) {
-    auto stats = observer.ServerStats();
-    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-    executed = stats->writer_lane >= 1;
+    executed = Scraped(&observer, "service_writer_lane") >= 1;
     if (!executed) std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   ASSERT_TRUE(executed);
@@ -259,9 +267,7 @@ TEST(ChaosTest, IndeterminateApplyStaysIndeterminateAcrossReconnect) {
   // indeterminate apply client-side, exactly one writer-lane execution
   // server-side.
   EXPECT_EQ(client.metrics().indeterminate, 1u);
-  auto stats = observer.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_EQ(stats->writer_lane, 1u);
+  EXPECT_EQ(Scraped(&observer, "service_writer_lane"), 1u);
 }
 
 TEST(ChaosTest, ServerSurvivesAStormOfBrokenPeers) {
@@ -286,7 +292,9 @@ TEST(ChaosTest, ServerSurvivesAStormOfBrokenPeers) {
                            << resp.status().ToString();
     EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   }
-  EXPECT_GE(rig.server->stats().protocol_errors, 1u);
+  EXPECT_GE(obs::SampleValue(rig.server->service().registry().Collect(),
+                              "server_protocol_errors"),
+            1u);
 }
 
 }  // namespace

@@ -55,37 +55,20 @@ TEST(FrameCodecTest, CheckResponseRoundTrip) {
   EXPECT_EQ(got->retry_after_ms, resp.retry_after_ms);
 }
 
-TEST(FrameCodecTest, PingPongAndStatsRoundTrip) {
+TEST(FrameCodecTest, PingPongRoundTrip) {
   auto ping = DecodePingPong(EncodePing(99));
   ASSERT_TRUE(ping.ok());
   EXPECT_EQ(*ping, 99u);
   auto pong = DecodePingPong(EncodePong(100));
   ASSERT_TRUE(pong.ok());
   EXPECT_EQ(*pong, 100u);
+}
 
-  StatsMsg stats;
-  stats.submitted = 1;
-  stats.completed = 2;
-  stats.fast_path = 3;
-  stats.writer_lane = 4;
-  stats.shed = 5;
-  stats.deadline_expired = 6;
-  stats.queue_high_water = 7;
-  stats.commit_epoch = 8;
-  stats.wal_records = 9;
-  stats.connections_accepted = 10;
-  stats.protocol_errors = 11;
-  stats.draining_rejects = 12;
-  stats.queue_wait_p50_ns = 13;
-  stats.queue_wait_p99_ns = 14;
-  auto got = DecodeStatsResponse(EncodeStatsResponse(stats));
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got->submitted, 1u);
-  EXPECT_EQ(got->deadline_expired, 6u);
-  EXPECT_EQ(got->queue_high_water, 7u);
-  EXPECT_EQ(got->draining_rejects, 12u);
-  EXPECT_EQ(got->queue_wait_p50_ns, 13u);
-  EXPECT_EQ(got->queue_wait_p99_ns, 14u);
+TEST(FrameCodecTest, ReplAckHasItsDeclaredLength) {
+  EXPECT_EQ(EncodeReplAck({0xFFFFFFFFFFFFFFFFull}).size(), kReplAckPayloadLen);
+  auto ack = DecodeReplAck(EncodeReplAck({77}));
+  ASSERT_TRUE(ack.ok()) << ack.status().ToString();
+  EXPECT_EQ(ack->applied_epoch, 77u);
 }
 
 obs::RegistrySnapshot SampleRegistry() {
@@ -182,6 +165,9 @@ TEST(FrameCodecTest, PeekTypeIdentifiesMessages) {
   EXPECT_EQ(*mresp, MsgType::kMetricsResponse);
   EXPECT_FALSE(PeekType("").ok());
   EXPECT_FALSE(PeekType(std::string(1, '\x63')).ok());  // unknown type
+  // The retired stats summary's type bytes are unknown types too.
+  EXPECT_FALSE(PeekType(std::string(1, '\x05')).ok());
+  EXPECT_FALSE(PeekType(std::string(1, '\x06')).ok());
 }
 
 TEST(FrameCodecTest, EveryTruncationIsParseError) {
@@ -189,7 +175,7 @@ TEST(FrameCodecTest, EveryTruncationIsParseError) {
       EncodeCheckRequest(SampleRequest()),
       EncodeCheckResponse(SampleResponse()),
       EncodePing(7),
-      EncodeStatsResponse(StatsMsg{}),
+      EncodeReplSubscribe({3, 4}),
       EncodeMetricsResponse(MetricsFromSnapshot(SampleRegistry())),
   };
   for (const std::string& p : payloads) {
@@ -198,7 +184,7 @@ TEST(FrameCodecTest, EveryTruncationIsParseError) {
       EXPECT_FALSE(DecodeCheckRequest(prefix).ok());
       EXPECT_FALSE(DecodeCheckResponse(prefix).ok());
       EXPECT_FALSE(DecodePingPong(prefix).ok());
-      EXPECT_FALSE(DecodeStatsResponse(prefix).ok());
+      EXPECT_FALSE(DecodeReplSubscribe(prefix).ok());
       EXPECT_FALSE(DecodeMetricsResponse(prefix).ok());
     }
   }
@@ -216,8 +202,9 @@ TEST(FrameCodecTest, TypeConfusionIsParseError) {
   // must fail on the type byte, not misparse the remaining fields.
   EXPECT_FALSE(DecodeCheckResponse(EncodeCheckRequest(SampleRequest())).ok());
   EXPECT_FALSE(DecodeCheckRequest(EncodeCheckResponse(SampleResponse())).ok());
-  EXPECT_FALSE(DecodePingPong(EncodeStatsRequest()).ok());
-  EXPECT_FALSE(DecodeStatsResponse(EncodePong(1)).ok());
+  EXPECT_FALSE(DecodePingPong(EncodeMetricsRequest()).ok());
+  // Same layout (type byte + u64), different type: still refused.
+  EXPECT_FALSE(DecodeReplAck(EncodePong(1)).ok());
 }
 
 TEST(FrameCodecTest, OutOfRangeEnumsAreParseError) {
@@ -311,6 +298,26 @@ TEST(FrameReaderTest, OversizedLengthIsRejectedImmediately) {
   auto next = reader.Next();
   ASSERT_FALSE(next.ok());
   EXPECT_TRUE(next.status().IsParseError());
+}
+
+TEST(FrameReaderTest, RequiredLengthRejectsOtherLengthsAtTheHeader) {
+  FrameReader reader;
+  reader.RequireFrameLength(kReplAckPayloadLen);
+  const std::string ack = FramePayload(EncodeReplAck({5}));
+  reader.Feed(ack.data(), ack.size());
+  auto first = reader.Next();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ASSERT_TRUE(first->has_value());
+  EXPECT_EQ(**first, EncodeReplAck({5}));
+
+  // The replication chaos proxy's flip: bit 0x40 of the length byte turns
+  // 9 into 73. Only the 8-byte header has arrived, and it is refused.
+  std::string damaged = ack;
+  damaged[0] = static_cast<char>(damaged[0] ^ 0x40);
+  reader.Feed(damaged.data(), kFrameHeaderLen);
+  auto next = reader.Next();
+  ASSERT_FALSE(next.ok());
+  EXPECT_TRUE(next.status().IsParseError()) << next.status().ToString();
 }
 
 TEST(VerdictTest, RetrySafetyClassification) {

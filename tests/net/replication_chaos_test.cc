@@ -252,5 +252,93 @@ TEST(ReplicationChaosTest, BadFirstFrameIsRefusedWithoutCollateral) {
   EXPECT_TRUE(rig.follower->status().ok());
 }
 
+/// A hand-driven subscriber connection to the source's port.
+int ConnectRaw(uint16_t port) {
+  auto fd = ConnectTcp("127.0.0.1", port, std::chrono::milliseconds(1000));
+  EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+  if (!fd.ok()) return -1;
+  Status st = SendAll(*fd, kNetMagic, kNetMagicLen,
+                      std::chrono::steady_clock::now() +
+                          std::chrono::milliseconds(1000));
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return *fd;
+}
+
+/// Polls the source's protocol-error count until it passes `before`.
+bool ProtocolErrorCounted(const ReplicationSource& source, uint64_t before,
+                          std::chrono::milliseconds within) {
+  const auto deadline = std::chrono::steady_clock::now() + within;
+  while (source.stats().protocol_errors <= before) {
+    if (std::chrono::steady_clock::now() >= deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  return true;
+}
+
+// The proxy's CorruptNext flips bit 0x40 of an ack's first byte, turning
+// its length prefix from 9 into 73. The source must refuse that header at
+// once: a reader that waited for 73 bytes would only notice after four
+// more acks, which at one per heartbeat takes about as long as the
+// convergence wait of CorruptFrameDropsSubscriptionThenResumes.
+TEST(ReplicationChaosTest, CorruptAckLengthIsCountedBeforeAnotherAck) {
+  TempDir tmp("repl_ack_len");
+  ASSERT_TRUE(tmp.ok());
+  Rig rig = Rig::Up(tmp.path("primary.wal"));
+  ASSERT_TRUE(rig.Commit(0).ok());
+  rig.ExpectConverged("healthy subscriber up");
+  const uint64_t errors_before = rig.source->stats().protocol_errors;
+
+  int fd = ConnectRaw(rig.source->port());
+  ASSERT_GE(fd, 0);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(2000);
+  const uint64_t epoch = rig.primary_db->commit_epoch();
+  std::string subscribe = FramePayload(EncodeReplSubscribe({epoch, 0}));
+  ASSERT_TRUE(SendAll(fd, subscribe.data(), subscribe.size(), deadline).ok());
+  // The first records frame (a heartbeat) proves the handshake is done.
+  char buf[4096];
+  ASSERT_TRUE(RecvSome(fd, buf, sizeof(buf), deadline).ok());
+
+  std::string ack = FramePayload(EncodeReplAck({epoch}));
+  ack[0] = static_cast<char>(ack[0] ^ 0x40);
+  ASSERT_TRUE(SendAll(fd, ack.data(), ack.size(), deadline).ok());
+  EXPECT_TRUE(ProtocolErrorCounted(*rig.source, errors_before,
+                                   std::chrono::milliseconds(3000)))
+      << "the source is still waiting for the body of a 73-byte ack";
+  CloseFd(fd);
+
+  ASSERT_TRUE(rig.Commit(1).ok());
+  rig.ExpectConverged("after the corrupt ack");
+}
+
+// A subscribe frame is a few bytes; a length prefix of 32 MiB is refused
+// when its header arrives, not after the handshake timeout.
+TEST(ReplicationChaosTest, OversizedSubscribeIsRefusedBeforeItsBody) {
+  TempDir tmp("repl_big_sub");
+  ASSERT_TRUE(tmp.ok());
+  Rig rig = Rig::Up(tmp.path("primary.wal"));
+  const uint64_t errors_before = rig.source->stats().protocol_errors;
+
+  int fd = ConnectRaw(rig.source->port());
+  ASSERT_GE(fd, 0);
+  std::string header;
+  const uint32_t len = 32u << 20;
+  for (int i = 0; i < 4; ++i) header.push_back(char((len >> (8 * i)) & 0xFF));
+  header.append(4, '\0');  // CRC placeholder; never read
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(SendAll(fd, header.data(), header.size(),
+                      start + std::chrono::milliseconds(1000))
+                  .ok());
+  char buf[16];
+  auto got = RecvSome(fd, buf, sizeof(buf),
+                      start + std::chrono::milliseconds(3000));
+  EXPECT_FALSE(got.ok());
+  EXPECT_TRUE(got.status().IsUnavailable())
+      << "expected a hang-up, got " << got.status().ToString();
+  EXPECT_TRUE(ProtocolErrorCounted(*rig.source, errors_before,
+                                   std::chrono::milliseconds(1000)));
+  CloseFd(fd);
+}
+
 }  // namespace
 }  // namespace ufilter::net

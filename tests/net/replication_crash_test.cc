@@ -24,6 +24,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/frame.h"
+#include "obs/metrics.h"
 
 #include "../support/temp_dir.h"
 
@@ -114,9 +115,11 @@ uint64_t EpochOf(uint16_t port) {
   ClientOptions opts;
   opts.port = port;
   Client client(opts);
-  auto stats = client.ServerStats();
-  EXPECT_TRUE(stats.ok()) << stats.status().ToString();
-  return stats.ok() ? stats->commit_epoch : 0;
+  auto wire = client.Metrics();
+  EXPECT_TRUE(wire.ok()) << wire.status().ToString();
+  return wire.ok() ? obs::SampleValue(SnapshotFromMetrics(*wire),
+                                      "db_commit_epoch")
+                   : 0;
 }
 
 /// Polls the follower's wire-visible commit epoch until it reaches the
@@ -128,8 +131,11 @@ bool WaitForEpoch(uint16_t port, uint64_t target,
   opts.port = port;
   Client client(opts);
   while (std::chrono::steady_clock::now() < deadline) {
-    auto stats = client.ServerStats();
-    if (stats.ok() && stats->commit_epoch >= target) return true;
+    auto wire = client.Metrics();
+    if (wire.ok() && obs::SampleValue(SnapshotFromMetrics(*wire),
+                                      "db_commit_epoch") >= target) {
+      return true;
+    }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   return false;

@@ -30,6 +30,7 @@
 #include "fixtures/synthetic.h"
 #include "net/client.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/wal.h"
 
 namespace ufilter::net {
@@ -211,7 +212,9 @@ TEST(ReplicationTest, FollowerConvergesAndServesIdenticalVerdicts) {
             std::string::npos)
       << redirect->message;
   EXPECT_EQ(replica.db->commit_epoch(), epoch_before);
-  EXPECT_GE(replica.server->stats().redirected_applies, 1u);
+  EXPECT_GE(obs::SampleValue(replica.server->service().registry().Collect(),
+                              "server_redirected_applies"),
+            1u);
   EXPECT_EQ(on_replica.metrics().retries, 0u);
 
   // The source saw our acks climb to the target epoch.

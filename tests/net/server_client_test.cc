@@ -1,7 +1,7 @@
 // End-to-end tests of the network front end against a live TCP server:
 // verdict parity with the in-process checker, deadline admission /
 // queue-purge behavior, load shedding with retry-after, graceful drain,
-// per-connection protocol-error isolation, and stats over the wire.
+// per-connection protocol-error isolation, and metrics over the wire.
 #include "net/server.h"
 
 #include <gtest/gtest.h>
@@ -20,6 +20,7 @@
 #include "net/frame.h"
 #include "net/socket.h"
 #include "obs/metrics.h"
+#include "obs/prometheus.h"
 
 namespace ufilter::net {
 namespace {
@@ -80,6 +81,11 @@ ClientOptions ClientFor(const Server& server) {
   ClientOptions opts;
   opts.port = server.port();
   return opts;
+}
+
+/// One series of the server's registry, read in-process; 0 when absent.
+uint64_t Metric(Server& server, const char* name) {
+  return obs::SampleValue(server.service().registry().Collect(), name);
 }
 
 /// Frame-level connection for tests that need pipelining or bad bytes —
@@ -183,10 +189,11 @@ TEST(ServerClientTest, AppliesExecuteOverTheWire) {
   EXPECT_EQ(resp->verdict, Verdict::kExecuted) << resp->message;
   EXPECT_GT(resp->rows_affected, 0);
 
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->writer_lane, 1u);
-  EXPECT_GE(stats->commit_epoch, 1u);
+  auto wire = client.Metrics();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  obs::RegistrySnapshot scraped = SnapshotFromMetrics(*wire);
+  EXPECT_GE(obs::SampleValue(scraped, "service_writer_lane"), 1u);
+  EXPECT_GE(obs::SampleValue(scraped, "db_commit_epoch"), 1u);
 }
 
 // --- Deadlines ------------------------------------------------------------
@@ -211,8 +218,8 @@ TEST(ServerClientTest, ExpiredDeadlineRejectedAtAdmission) {
   EXPECT_EQ(resp->request_id, 1u);
   EXPECT_EQ(resp->verdict, Verdict::kDeadlineExceeded);
 
-  EXPECT_GE((*server)->stats().admission_expired, 1u);
-  EXPECT_GE((*server)->service().Snapshot().deadline_expired, 1u);
+  EXPECT_GE(Metric(**server, "server_admission_expired"), 1u);
+  EXPECT_GE(Metric(**server, "service_deadline_expired"), 1u);
 }
 
 TEST(ServerClientTest, OverloadShedsAndPurgesQueuedDeadlines) {
@@ -268,8 +275,9 @@ TEST(ServerClientTest, OverloadShedsAndPurgesQueuedDeadlines) {
   EXPECT_GE(shed + expired, 1) << "shed=" << shed << " expired=" << expired;
 
   // Both forms of refusal are observable in the service counters.
-  auto stats = (*server)->service().Snapshot();
-  EXPECT_GE(stats.shed + stats.deadline_expired, 1u);
+  EXPECT_GE(Metric(**server, "service_shed") +
+                Metric(**server, "service_deadline_expired"),
+            1u);
 }
 
 // --- Graceful drain -------------------------------------------------------
@@ -324,7 +332,7 @@ TEST(ServerClientTest, DrainFinishesInFlightAndRejectsNewWork) {
   drainer.join();
   if (late_verdict != Verdict::kError) {
     EXPECT_EQ(late_verdict, Verdict::kDraining);
-    EXPECT_GE((*server)->stats().draining_rejects, 1u);
+    EXPECT_GE(Metric(**server, "server_draining_rejects"), 1u);
   }
 
   // The listener is gone: new connections are refused.
@@ -359,10 +367,43 @@ TEST(ServerClientTest, BadMagicDropsOnlyThatConnection) {
   // Well-behaved clients are unaffected.
   Client client(ClientFor(**server));
   EXPECT_TRUE(client.Ping().ok());
-  EXPECT_GE((*server)->stats().protocol_errors, 1u);
+  EXPECT_GE(Metric(**server, "server_protocol_errors"), 1u);
 }
 
-TEST(ServerClientTest, StatsTravelOverTheWire) {
+// Type bytes 5 and 6 carried a fixed-size stats summary before kMetrics
+// replaced it. A peer that still sends one is treated like any other
+// unknown message: its connection is dropped and counted once, and every
+// other connection keeps working.
+TEST(ServerClientTest, RetiredStatsRequestDropsOnlyThatConnection) {
+  Instance inst = MakeBookInstance();
+  auto server = Server::Start(inst.uf.get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client bystander(ClientFor(**server));
+  ASSERT_TRUE(bystander.Ping().ok());
+  const uint64_t connects = bystander.metrics().reconnects;
+
+  RawConn old_client = RawConn::Open((*server)->port());
+  ASSERT_TRUE(old_client.Send(std::string(1, '\x05')).ok());
+  auto got = old_client.Recv();
+  EXPECT_FALSE(got.ok()) << "the server answered a retired message type";
+  EXPECT_TRUE(got.status().IsUnavailable()) << got.status().ToString();
+
+  // The reader counts the error as it exits, just after the hang-up.
+  uint64_t errors = 0;
+  for (int i = 0; i < 200 && errors == 0; ++i) {
+    errors = Metric(**server, "server_protocol_errors");
+    if (errors == 0) std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(errors, 1u);
+  EXPECT_TRUE(bystander.Ping().ok());
+  auto resp = bystander.Check(fixtures::PaperUpdate(1), /*apply=*/false);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+  EXPECT_EQ(bystander.metrics().reconnects, connects)
+      << "the bystander's connection was dropped too";
+  EXPECT_EQ(Metric(**server, "server_protocol_errors"), 1u);
+}
+
+TEST(ServerClientTest, ServiceCountersTravelOverTheWire) {
   Instance inst = MakeBookInstance();
   auto server = Server::Start(inst.uf.get());
   ASSERT_TRUE(server.ok()) << server.status().ToString();
@@ -372,24 +413,57 @@ TEST(ServerClientTest, StatsTravelOverTheWire) {
     auto resp = client.Check(fixtures::PaperUpdate(1), /*apply=*/false);
     ASSERT_TRUE(resp.ok()) << resp.status().ToString();
   }
-  auto stats = client.ServerStats();
-  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  EXPECT_GE(stats->submitted, 3u);
-  EXPECT_GE(stats->completed, 3u);
-  EXPECT_GE(stats->connections_accepted, 1u);
-  EXPECT_EQ(stats->protocol_errors, 0u);
-  // The queue-wait percentiles come from the always-on histogram: after
-  // three pops they must be real (nonzero) readings.
-  EXPECT_GT(stats->queue_wait_p99_ns, 0u);
-  EXPECT_LE(stats->queue_wait_p50_ns, stats->queue_wait_p99_ns);
+  auto wire = client.Metrics();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  obs::RegistrySnapshot scraped = SnapshotFromMetrics(*wire);
+  EXPECT_GE(obs::SampleValue(scraped, "service_submitted"), 3u);
+  EXPECT_GE(obs::SampleValue(scraped, "service_completed"), 3u);
+  EXPECT_GE(obs::SampleValue(scraped, "server_connections_accepted"), 1u);
+  EXPECT_EQ(obs::SampleValue(scraped, "server_protocol_errors"), 0u);
+  // The queue-wait histogram is always on: after three pops its
+  // percentiles must be real (nonzero) readings.
+  const obs::MetricSample* queue_wait =
+      obs::FindSample(scraped, "stage_queue_wait_ns");
+  ASSERT_NE(queue_wait, nullptr);
+  EXPECT_GE(queue_wait->hist.count, 3u);
+  EXPECT_GT(queue_wait->hist.Percentile(99), 0u);
+  EXPECT_LE(queue_wait->hist.Percentile(50), queue_wait->hist.Percentile(99));
+}
+
+// Every engine counter of UFILTER_ENGINE_COUNTERS reaches a live kMetrics
+// scrape and the Prometheus text rendered from it, under the name the
+// list declares.
+TEST(ServerClientTest, EveryEngineCounterIsExported) {
+  Instance inst = MakeChainInstance(3, 32);
+  auto server = Server::Start(inst.uf.get());
+  ASSERT_TRUE(server.ok()) << server.status().ToString();
+  Client client(ClientFor(**server));
+  auto resp = client.Check(fixtures::ChainDeleteUpdate(2, 0), false);
+  ASSERT_TRUE(resp.ok()) << resp.status().ToString();
+
+  auto wire = client.Metrics();
+  ASSERT_TRUE(wire.ok()) << wire.status().ToString();
+  const std::string prom =
+      obs::RenderPrometheus(SnapshotFromMetrics(*wire));
+  std::vector<std::string> names;
+#define UFILTER_ENGINE_NAME(field, metric, doc) names.push_back(metric);
+  UFILTER_ENGINE_COUNTERS(UFILTER_ENGINE_NAME)
+#undef UFILTER_ENGINE_NAME
+  for (const std::string& name : names) {
+    const WireMetric* m = wire->Find(name);
+    ASSERT_NE(m, nullptr) << name;
+    EXPECT_EQ(m->kind, static_cast<uint8_t>(obs::MetricKind::kCounter))
+        << name;
+    EXPECT_NE(prom.find("\nufilter_" + name + " "), std::string::npos)
+        << name;
+  }
 }
 
 // --- Full registry over the wire -----------------------------------------
 
 // The parity acceptance: a remote Client::Metrics() scrape must agree with
-// the in-process registry Collect() and with CheckServiceStats — including
-// the counters that used to be wire-invisible (WAL, columnar, plan cache,
-// MVCC) and the latency histograms.
+// the in-process registry Collect(), including the WAL, columnar, plan
+// cache and MVCC counters and the latency histograms.
 TEST(ServerClientTest, MetricsParityOverWire) {
   test_support::TempDir tmp("net_metrics");
   ASSERT_TRUE(tmp.ok());
@@ -425,7 +499,6 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   ASSERT_TRUE(wire.ok()) << wire.status().ToString();
   obs::RegistrySnapshot remote = SnapshotFromMetrics(*wire);
   obs::RegistrySnapshot local = (*server)->service().registry().Collect();
-  auto stats = (*server)->service().Snapshot();
 
   // Every local series crossed the wire (the scrape is the full registry).
   for (const obs::MetricSample& l : local) {
@@ -442,29 +515,22 @@ TEST(ServerClientTest, MetricsParityOverWire) {
   struct FloorCheck {
     const char* name;
     uint64_t floor;
-    uint64_t local;
   };
   const FloorCheck checks[] = {
-      {"service_submitted", 8, stats.submitted},
-      {"service_completed", 8, stats.completed},
-      {"service_fast_path", 6, stats.fast_path},
-      {"service_writer_lane", 2, stats.writer_lane},
-      {"wal_records", 2, stats.wal_records},
-      {"wal_fsyncs", 1, stats.wal_fsyncs},
-      {"wal_bytes", 1, stats.wal_bytes},
-      {"columnar_builds", 1, stats.columnar_builds},
-      {"columnar_scan_rows", 1, stats.columnar_scan_rows},
-      {"plan_cache_hits", 1, stats.plan_cache.hits},
-      {"plan_cache_misses", 1, stats.plan_cache.misses},
-      {"mvcc_snapshots_opened", 8, stats.snapshots_opened},
+      {"service_submitted", 8},     {"service_completed", 8},
+      {"service_fast_path", 6},     {"service_writer_lane", 2},
+      {"wal_records", 2},           {"wal_fsyncs", 1},
+      {"wal_bytes", 1},             {"columnar_builds", 1},
+      {"columnar_scan_rows", 1},    {"plan_cache_hits", 3},
+      {"plan_cache_misses", 3},     {"mvcc_snapshots_opened", 8},
   };
   for (const FloorCheck& c : checks) {
     uint64_t wired = wire_value(c.name);
     EXPECT_GE(wired, c.floor) << c.name;
-    EXPECT_GE(c.local, wired) << c.name;  // the stats view agrees
+    EXPECT_GE(obs::SampleValue(local, c.name), wired) << c.name;
   }
   // Gauges match the database's current state exactly (quiescent now).
-  EXPECT_EQ(wire_value("db_commit_epoch"), stats.commit_epoch);
+  EXPECT_EQ(wire_value("db_commit_epoch"), inst.db->commit_epoch());
 
   // The latency histogram crossed the wire with its full shape: count
   // covers all 8 requests and percentile math works on the remote copy.

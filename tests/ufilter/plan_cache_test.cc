@@ -146,13 +146,16 @@ TEST_F(PlanCacheTest, KeysByRecencyReportsMruFirst) {
 TEST_F(PlanCacheTest, CountersTrackHitsMissesEvictions) {
   uf_->plan_cache().Configure(/*capacity=*/2, /*shards=*/1);
   uf_->plan_cache().ResetCounters();
+  EngineStats baseline = db_->SnapshotWorkCounters();
   (void)uf_->Prepare(fixtures::PaperUpdate(8));   // miss + insert
   (void)uf_->Prepare(fixtures::PaperUpdate(8));   // hit
   (void)uf_->Prepare(fixtures::PaperUpdate(9));   // miss + insert
   (void)uf_->Prepare(fixtures::PaperUpdate(12));  // miss + insert -> evict
+  // Each Prepare counts its hit or miss exactly once.
+  EngineStats diff = Diff(baseline);
+  EXPECT_EQ(diff.plan_cache_hits, 1u);
+  EXPECT_EQ(diff.plan_cache_misses, 3u);
   check::PlanCacheCounters c = uf_->plan_cache().counters();
-  EXPECT_EQ(c.hits, 1u);
-  EXPECT_EQ(c.misses, 3u);
   EXPECT_EQ(c.insertions, 3u);
   EXPECT_EQ(c.evictions, 1u);
 }
