@@ -12,10 +12,19 @@
 //                                follower has applied it, so items/sec is
 //                                converged epochs per wall-clock second
 //                                (commit + ship + apply + publish; the
-//                                ship and apply run on other threads).
+//                                ship and apply run on other threads);
+//   ReplicationBootstrap/rows    wall time from a fresh follower's
+//                                subscribe to its converged bootstrap
+//                                over real sockets (the primary streams
+//                                the state as bounded kReplSnapshot
+//                                chunks; the follower loads each as it
+//                                arrives and publishes at the last),
+//                                with the chunk frames and bytes shipped
+//                                per bootstrap as counters.
 //
-// The CI gate requires both series in BENCH_replication.json; the steady
-// state it certifies is replication_lag_epochs == 0 after each iteration.
+// The CI gate requires all three series in BENCH_replication.json; the
+// steady state it certifies is replication_lag_epochs == 0 after each
+// iteration.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.h"
@@ -29,8 +38,10 @@
 #include "fixtures/synthetic.h"
 #include "net/replication.h"
 #include "net/server.h"
+#include "obs/metrics.h"
 #include "relational/database.h"
 #include "relational/wal.h"
+#include "service/check_service.h"
 
 namespace {
 
@@ -55,7 +66,8 @@ void Die(const char* what, const ufilter::Status& st) {
 }
 
 std::unique_ptr<Database> MakeDurablePrimary(const std::string& wal,
-                                             int batches) {
+                                             int batches,
+                                             int rows_per_level = kRows) {
   auto db = Database::Create(ufilter::fixtures::MakeChainSchema(kDepth));
   if (!db.ok()) Die("create", db.status());
   DurabilityOptions opts;
@@ -63,7 +75,8 @@ std::unique_ptr<Database> MakeDurablePrimary(const std::string& wal,
   opts.fsync_policy = FsyncPolicy::kGroup;
   opts.group_commit_size = 8;
   if (auto st = (*db)->EnableDurability(opts); !st.ok()) Die("wal", st);
-  if (auto st = ufilter::fixtures::PopulateChain(db->get(), kDepth, kRows);
+  if (auto st =
+          ufilter::fixtures::PopulateChain(db->get(), kDepth, rows_per_level);
       !st.ok()) {
     Die("populate", st);
   }
@@ -190,6 +203,68 @@ void ReplicationConvergence(benchmark::State& state) {
   (*source)->Stop();
 }
 BENCHMARK(ReplicationConvergence)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+void ReplicationBootstrap(benchmark::State& state) {
+  const int rows = static_cast<int>(state.range(0));
+  ufilter::test_support::TempDir tmp("bench_repl_boot");
+  if (!tmp.ok()) std::abort();
+  const std::string wal = tmp.path("primary.wal");
+  auto primary = MakeDurablePrimary(wal, /*batches=*/0, rows / kDepth);
+  if (auto st = primary->PublishVersion(); !st.ok()) {
+    Die("publish", st.status());
+  }
+  ufilter::obs::Registry registry;
+  ReplicationSourceOptions ropts;
+  ropts.wal_path = wal;
+  auto source = ReplicationSource::Start(primary.get(), &registry, ropts);
+  if (!source.ok()) Die("source", source.status());
+  const uint64_t target = primary->commit_epoch();
+
+  for (auto _ : state) {
+    // A fresh replica per iteration; building its (empty) database and
+    // service is set-up, not bootstrap.
+    state.PauseTiming();
+    auto db = Database::Create(ufilter::fixtures::MakeChainSchema(kDepth));
+    if (!db.ok()) Die("follower db", db.status());
+    auto uf = UFilter::Create(db->get(),
+                              ufilter::fixtures::ChainViewQuery(kDepth));
+    if (!uf.ok()) Die("follower uf", uf.status());
+    auto service =
+        std::make_unique<ufilter::service::CheckService>(uf->get());
+    FollowerOptions fopts;
+    fopts.port = (*source)->port();
+    state.ResumeTiming();
+
+    auto follower = Follower::Start(service.get(), db->get(), fopts);
+    if (!follower->WaitForEpoch(target, std::chrono::seconds(60))) {
+      std::fprintf(stderr, "bootstrap stalled: %s\n",
+                   follower->status().ToString().c_str());
+      std::abort();
+    }
+
+    state.PauseTiming();
+    follower->Stop();
+    service.reset();
+    state.ResumeTiming();
+  }
+  const auto snapshot = registry.Collect();
+  const auto avg = benchmark::Counter::kAvgIterations;
+  state.counters["snapshot_frames_per_iter"] = benchmark::Counter(
+      static_cast<double>(
+          ufilter::obs::SampleValue(snapshot, "repl_snapshot_chunks_shipped")),
+      avg);
+  state.counters["snapshot_bytes_per_iter"] = benchmark::Counter(
+      static_cast<double>(
+          ufilter::obs::SampleValue(snapshot, "repl_snapshot_bytes_shipped")),
+      avg);
+  (*source)->Stop();
+}
+BENCHMARK(ReplicationBootstrap)
+    ->Arg(20000)
+    ->Arg(200000)
+    ->ArgName("rows")
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -347,24 +347,22 @@ Result<ReplSubscribeMsg> DecodeReplSubscribe(const std::string& payload) {
   return msg;
 }
 
-std::string EncodeReplSnapshot(const ReplSnapshotMsg& msg) {
-  std::string out;
-  PutU8(&out, static_cast<uint8_t>(MsgType::kReplSnapshot));
-  PutU64(&out, msg.epoch);
-  PutString(&out, msg.state_payload);
-  return out;
+void BeginReplSnapshot(std::string* frame, uint64_t epoch) {
+  PutU8(frame, static_cast<uint8_t>(MsgType::kReplSnapshot));
+  PutU64(frame, epoch);
 }
 
-Result<ReplSnapshotMsg> DecodeReplSnapshot(const std::string& payload) {
+Result<ReplSnapshotChunk> DecodeReplSnapshot(const std::string& payload) {
   Cursor c(payload);
   if (c.U8() != static_cast<uint8_t>(MsgType::kReplSnapshot)) {
     return Malformed("repl-snapshot");
   }
-  ReplSnapshotMsg msg;
-  msg.epoch = c.U64();
-  msg.state_payload = c.Str();
-  if (!c.AtEnd()) return Malformed("repl-snapshot");
-  return msg;
+  ReplSnapshotChunk chunk;
+  chunk.epoch = c.U64();
+  if (!c.ok()) return Malformed("repl-snapshot");
+  chunk.data = payload.data() + kReplSnapshotHeaderLen;
+  chunk.size = payload.size() - kReplSnapshotHeaderLen;
+  return chunk;
 }
 
 std::string EncodeReplRecords(const ReplRecordsMsg& msg) {
@@ -417,10 +415,22 @@ Result<ReplAckMsg> DecodeReplAck(const std::string& payload) {
 std::string FramePayload(const std::string& payload) {
   std::string out;
   out.reserve(kFrameHeaderLen + payload.size());
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, relational::Crc32(payload.data(), payload.size()));
+  BeginFrame(&out);
   out.append(payload);
+  SealFrame(&out);
   return out;
+}
+
+void BeginFrame(std::string* frame) { frame->assign(kFrameHeaderLen, '\0'); }
+
+void SealFrame(std::string* frame) {
+  const size_t len = frame->size() - kFrameHeaderLen;
+  const uint32_t crc =
+      relational::Crc32(frame->data() + kFrameHeaderLen, len);
+  for (int i = 0; i < 4; ++i) {
+    (*frame)[i] = static_cast<char>((len >> (8 * i)) & 0xFF);
+    (*frame)[4 + i] = static_cast<char>((crc >> (8 * i)) & 0xFF);
+  }
 }
 
 Result<std::optional<std::string>> FrameReader::Next() {

@@ -44,11 +44,19 @@ inline constexpr size_t kFrameHeaderLen = 8;
 /// bigger is a corrupt length prefix or an abusive peer).
 inline constexpr size_t kDefaultMaxFrameBytes = 1u << 20;
 
-/// Ceiling for replication-stream frames: a kReplSnapshot carries the full
-/// serialized database state and a kReplRecords batch carries many WAL
-/// payloads, so subscription connections negotiate a much larger frame
-/// budget than the request/response plane.
+/// Ceiling for replication-stream frames: a kReplRecords batch carries many
+/// WAL payloads, so subscription connections accept a much larger frame
+/// than the request/response plane. It is input validation only — state
+/// size has no ceiling, because the bootstrap ships the state as a
+/// sequence of kReplSnapshotChunkBytes chunks, one per frame.
 inline constexpr size_t kReplMaxFrameBytes = 64u << 20;
+
+/// Budget of one bootstrap state chunk (relational::StateEncoder), and so
+/// of a kReplSnapshot payload past its kReplSnapshotHeaderLen header; only
+/// a single row larger than this gets a larger chunk of its own.
+inline constexpr size_t kReplSnapshotChunkBytes = 64u << 10;
+/// kReplSnapshot payload header: type byte + the snapshot's epoch.
+inline constexpr size_t kReplSnapshotHeaderLen = 1 + 8;
 
 /// Relative-deadline sentinel: no deadline.
 inline constexpr uint32_t kNoDeadlineMs = 0xFFFFFFFFu;
@@ -68,9 +76,10 @@ enum class MsgType : uint8_t {
   kMetricsResponse = 8,
   /// Replication plane (epoch-stream snapshot shipping). A follower sends
   /// kReplSubscribe once after the magic; the primary answers with an
-  /// optional kReplSnapshot bootstrap followed by a stream of kReplRecords
-  /// batches (empty batch = heartbeat); the follower acks applied epochs
-  /// with kReplAck so the primary can export subscriber lag.
+  /// optional bootstrap (a sequence of kReplSnapshot chunks, the last one
+  /// marked final) followed by a stream of kReplRecords batches (empty
+  /// batch = heartbeat); the follower acks applied epochs with kReplAck so
+  /// the primary can export subscriber lag.
   kReplSubscribe = 9,
   kReplSnapshot = 10,
   kReplRecords = 11,
@@ -167,7 +176,7 @@ obs::RegistrySnapshot SnapshotFromMetrics(const MetricsMsg& msg);
 
 /// Follower -> primary, once per connection: start (or resume) an epoch
 /// stream. start_epoch is the last epoch the follower has durably applied;
-/// 0 means "bootstrap me" and the primary answers with a kReplSnapshot
+/// 0 means "bootstrap me" and the primary answers with kReplSnapshot chunks
 /// before any records.
 struct ReplSubscribeMsg {
   uint64_t start_epoch = 0;
@@ -176,12 +185,15 @@ struct ReplSubscribeMsg {
   uint64_t max_batch_bytes = 0;
 };
 
-/// Primary -> follower bootstrap: the full serialized state
-/// (relational::EncodeDatabaseState) as of `epoch`. Sent exactly once, and
-/// only for start_epoch == 0 subscriptions.
-struct ReplSnapshotMsg {
+/// Primary -> follower bootstrap, one frame per state chunk: the published
+/// state as of `epoch`, as the chunk sequence of relational::StateEncoder
+/// (numbered, the last one marked final — the same bytes a checkpoint file
+/// holds). Sent only for start_epoch == 0 subscriptions. A decoded chunk
+/// views into the payload it came from.
+struct ReplSnapshotChunk {
   uint64_t epoch = 0;
-  std::string state_payload;
+  const char* data = nullptr;
+  size_t size = 0;
 };
 
 /// Primary -> follower: a batch of WAL record payloads in strictly
@@ -220,7 +232,9 @@ std::string EncodePong(uint64_t request_id);
 std::string EncodeMetricsRequest();
 std::string EncodeMetricsResponse(const MetricsMsg& msg);
 std::string EncodeReplSubscribe(const ReplSubscribeMsg& msg);
-std::string EncodeReplSnapshot(const ReplSnapshotMsg& msg);
+/// Appends a kReplSnapshot header to `frame` (after BeginFrame); the
+/// caller appends one state chunk and seals the frame.
+void BeginReplSnapshot(std::string* frame, uint64_t epoch);
 std::string EncodeReplRecords(const ReplRecordsMsg& msg);
 std::string EncodeReplAck(const ReplAckMsg& msg);
 
@@ -231,7 +245,7 @@ Result<CheckResponseMsg> DecodeCheckResponse(const std::string& payload);
 Result<uint64_t> DecodePingPong(const std::string& payload);
 Result<MetricsMsg> DecodeMetricsResponse(const std::string& payload);
 Result<ReplSubscribeMsg> DecodeReplSubscribe(const std::string& payload);
-Result<ReplSnapshotMsg> DecodeReplSnapshot(const std::string& payload);
+Result<ReplSnapshotChunk> DecodeReplSnapshot(const std::string& payload);
 Result<ReplRecordsMsg> DecodeReplRecords(const std::string& payload);
 Result<ReplAckMsg> DecodeReplAck(const std::string& payload);
 
@@ -239,6 +253,12 @@ Result<ReplAckMsg> DecodeReplAck(const std::string& payload);
 
 /// Wraps a payload as [len][crc][payload], ready for the socket.
 std::string FramePayload(const std::string& payload);
+
+/// In-place framing, for a payload encoded straight into a reused buffer:
+/// BeginFrame clears `frame` down to a header placeholder, SealFrame fills
+/// the header in for everything appended since.
+void BeginFrame(std::string* frame);
+void SealFrame(std::string* frame);
 
 /// \brief Incremental frame parser over an arbitrary byte stream.
 ///

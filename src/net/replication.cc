@@ -59,6 +59,10 @@ ReplicationSource::ReplicationSource(relational::Database* db,
       port_(port),
       subscribers_(registry->GetGauge("repl_subscribers")),
       snapshots_shipped_(registry->GetCounter("repl_snapshots_shipped")),
+      snapshot_chunks_shipped_(
+          registry->GetCounter("repl_snapshot_chunks_shipped")),
+      snapshot_bytes_shipped_(
+          registry->GetCounter("repl_snapshot_bytes_shipped")),
       records_shipped_(registry->GetCounter("repl_records_shipped")),
       bytes_shipped_(registry->GetCounter("repl_bytes_shipped")),
       acked_epoch_(registry->GetGauge("repl_acked_epoch")),
@@ -70,6 +74,8 @@ ReplicationSourceStats ReplicationSource::stats() const {
   ReplicationSourceStats s;
   s.subscribers = subscribers_->Value();
   s.snapshots_shipped = snapshots_shipped_->Value();
+  s.snapshot_chunks_shipped = snapshot_chunks_shipped_->Value();
+  s.snapshot_bytes_shipped = snapshot_bytes_shipped_->Value();
   s.records_shipped = records_shipped_->Value();
   s.bytes_shipped = bytes_shipped_->Value();
   s.acked_epoch = acked_epoch_->Value();
@@ -128,8 +134,8 @@ void ReplicationSource::ServeSubscriber(Subscriber* sub) {
 
 Status ReplicationSource::ServeSubscriberImpl(int fd) {
   // Handshake: the magic preamble plus exactly one kReplSubscribe frame.
-  // kReplMaxFrameBytes is for the snapshots this side sends; a subscribe
-  // is tiny, so its reader keeps the request plane's cap.
+  // kReplMaxFrameBytes is for the record batches this side sends; a
+  // subscribe is tiny, so its reader keeps the request plane's cap.
   FrameReader frames(/*expect_magic=*/true, kDefaultMaxFrameBytes);
   auto handshake_deadline = Deadline(kHandshakeTimeout);
   std::string first;
@@ -163,25 +169,31 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
   }
 
   // Bootstrap: a subscriber starting from nothing gets the full published
-  // state at one pinned epoch; everyone else resumes from their own epoch
-  // and receives only the WAL suffix past it.
+  // state at one pinned epoch, as a sequence of bounded chunks encoded
+  // one at a time into a single reused frame buffer; everyone else
+  // resumes from their own epoch and receives only the WAL suffix past it.
   uint64_t resume_epoch = sub->start_epoch;
   if (sub->start_epoch == 0) {
-    ReplSnapshotMsg snap_msg;
-    {
-      auto snapshot = db_->OpenSnapshot();
-      snap_msg.epoch = snapshot->epoch();
-      snap_msg.state_payload =
-          relational::EncodeDatabaseState(db_->schema(), *snapshot);
+    auto snapshot = db_->OpenSnapshot();
+    relational::StateEncoder encoder(db_->schema(), *snapshot);
+    std::string frame;
+    while (!encoder.done()) {
+      BeginFrame(&frame);
+      BeginReplSnapshot(&frame, snapshot->epoch());
+      encoder.AppendChunk(&frame, kReplSnapshotChunkBytes);
+      SealFrame(&frame);
+      UFILTER_RETURN_NOT_OK(
+          SendAll(fd, frame.data(), frame.size(), Deadline(kWriteTimeout)));
+      snapshot_chunks_shipped_->Inc();
+      snapshot_bytes_shipped_->Add(frame.size());
     }
-    std::string frame = FramePayload(EncodeReplSnapshot(snap_msg));
-    UFILTER_RETURN_NOT_OK(
-        SendAll(fd, frame.data(), frame.size(), Deadline(kWriteTimeout)));
     snapshots_shipped_->Inc();
-    resume_epoch = snap_msg.epoch;
+    resume_epoch = snapshot->epoch();
   }
 
-  relational::WalTailer tailer(options_.wal_path);
+  // The tailer steps over everything the subscriber already holds by
+  // record header, without reading those payloads.
+  relational::WalTailer tailer(options_.wal_path, resume_epoch);
   auto last_send = std::chrono::steady_clock::now();
   bool sent_anything = false;
   while (!stop_.load(std::memory_order_acquire)) {
@@ -200,8 +212,6 @@ Status ReplicationSource::ServeSubscriberImpl(int fd) {
     ReplRecordsMsg msg;
     uint64_t batch_bytes = 0;
     for (auto& rec : *polled) {
-      if (rec.epoch <= resume_epoch) continue;  // subscriber already has it
-      resume_epoch = rec.epoch;
       batch_bytes += rec.payload.size();
       msg.records.push_back(std::move(rec.payload));
     }
@@ -402,6 +412,10 @@ Status Follower::RunOnce() {
     fd_.store(*fd, std::memory_order_release);
   }
   auto cleanup = [this] {
+    // A bootstrap cut short is dropped whole (its temp checkpoint file
+    // too); the next subscription starts it again from epoch 0.
+    load_.reset();
+    load_file_.reset();
     std::lock_guard<std::mutex> lock(status_mu_);
     CloseFd(fd_.exchange(-1, std::memory_order_acq_rel));
   };
@@ -468,26 +482,47 @@ Status Follower::RunOnce() {
 }
 
 Status Follower::HandleSnapshot(const std::string& payload) {
-  auto msg = DecodeReplSnapshot(payload);
-  UFILTER_RETURN_NOT_OK(msg.status());
-  // Persist the bootstrap before applying it: a follower killed right
-  // after the load recovers from this checkpoint locally and resumes,
-  // instead of re-shipping the whole state.
-  if (!options_.checkpoint_path.empty()) {
-    UFILTER_RETURN_NOT_OK(relational::WriteFileAtomicSynced(
-        options_.checkpoint_path,
-        relational::EncodeCheckpointFile(msg->epoch, msg->state_payload)));
+  auto chunk = DecodeReplSnapshot(payload);
+  UFILTER_RETURN_NOT_OK(chunk.status());
+  if (load_ == nullptr) {
+    load_ = db_->NewStateLoader();
+    load_epoch_ = chunk->epoch;
+    // Persist the bootstrap before publishing it: a follower killed right
+    // after the load recovers from this checkpoint locally and resumes,
+    // instead of re-shipping the whole state.
+    if (!options_.checkpoint_path.empty()) {
+      UFILTER_ASSIGN_OR_RETURN(
+          load_file_, relational::CheckpointWriter::Create(
+                          options_.checkpoint_path, load_epoch_));
+    }
+  } else if (chunk->epoch != load_epoch_) {
+    return Status::ParseError("bootstrap chunk of another snapshot epoch");
   }
-  Status st = db_->LoadReplicatedSnapshot(msg->epoch, msg->state_payload);
+  Status st = load_->Apply(chunk->data, chunk->size);
+  if (!st.ok()) return SetFatal(st);
+  if (load_file_ != nullptr) {
+    UFILTER_RETURN_NOT_OK(load_file_->Append(chunk->data, chunk->size));
+  }
+  if (!load_->complete()) return Status::OK();
+
+  // The final chunk: only now does the load become the published state.
+  if (load_file_ != nullptr) {
+    UFILTER_RETURN_NOT_OK(load_file_->Commit());
+    load_file_.reset();
+  }
+  st = db_->LoadReplicatedSnapshot(load_epoch_, std::move(load_));
   if (!st.ok()) return SetFatal(st);
   snapshots_loaded_->Inc();
-  SetAppliedEpoch(msg->epoch);
-  std::string ack = FramePayload(EncodeReplAck({msg->epoch}));
+  SetAppliedEpoch(load_epoch_);
+  std::string ack = FramePayload(EncodeReplAck({load_epoch_}));
   int fd = fd_.load(std::memory_order_acquire);
   return SendAll(fd, ack.data(), ack.size(), Deadline(kWriteTimeout));
 }
 
 Status Follower::HandleRecords(const std::string& payload) {
+  if (load_ != nullptr) {
+    return Status::ParseError("records before the bootstrap's final chunk");
+  }
   auto msg = DecodeReplRecords(payload);
   UFILTER_RETURN_NOT_OK(msg.status());
   for (const std::string& rec_payload : msg->records) {

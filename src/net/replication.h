@@ -2,11 +2,12 @@
 //
 // The primary runs a ReplicationSource on its own listen port. A replica
 // connects, sends the protocol magic and one kReplSubscribe frame, and the
-// source answers with a bootstrap (a kReplSnapshot carrying the full
-// published state at some epoch, only when the subscriber starts from
-// epoch 0) followed by a live tail of kReplRecords frames — each one a
-// batch of WAL record payloads (EncodeWalPayload bytes, exactly what the
-// primary's own recovery replays) in strictly increasing epoch order. The
+// source answers with a bootstrap (the published state at one pinned
+// epoch as a sequence of bounded kReplSnapshot chunks, only when the
+// subscriber starts from epoch 0) followed by a live tail of kReplRecords
+// frames — each one a batch of WAL record payloads (EncodeWalPayload
+// bytes, exactly what the primary's own recovery replays) in strictly
+// increasing epoch order, starting past the bootstrap or resume epoch. The
 // stream is the WAL: a follower that applies every record is running
 // Database::RecoverFrom continuously, so "replica state" and "what the
 // primary would recover to" are the same artifact by construction.
@@ -76,7 +77,9 @@ struct ReplicationSourceOptions {
 /// Per-source counters (registry views; scrape-friendly).
 struct ReplicationSourceStats {
   uint64_t subscribers = 0;         ///< currently connected
-  uint64_t snapshots_shipped = 0;   ///< bootstrap kReplSnapshot frames
+  uint64_t snapshots_shipped = 0;   ///< complete bootstraps sent
+  uint64_t snapshot_chunks_shipped = 0;  ///< their kReplSnapshot frames
+  uint64_t snapshot_bytes_shipped = 0;   ///< bytes of those frames
   uint64_t records_shipped = 0;     ///< WAL records sent (sum over batches)
   uint64_t bytes_shipped = 0;       ///< payload bytes of those records
   uint64_t acked_epoch = 0;         ///< highest epoch any subscriber acked
@@ -134,6 +137,8 @@ class ReplicationSource {
 
   obs::Gauge* subscribers_;
   obs::Counter* snapshots_shipped_;
+  obs::Counter* snapshot_chunks_shipped_;
+  obs::Counter* snapshot_bytes_shipped_;
   obs::Counter* records_shipped_;
   obs::Counter* bytes_shipped_;
   obs::Gauge* acked_epoch_;
@@ -155,10 +160,11 @@ struct FollowerOptions {
   std::chrono::milliseconds dead_after{2000};
   /// Batch cap requested from the source (0 = source default).
   uint64_t max_batch_bytes = 0;
-  /// When non-empty, every received bootstrap snapshot is persisted here
-  /// as a normal checkpoint file (WriteFileAtomicSynced), so a follower
-  /// restart recovers locally and resumes from its own epoch instead of
-  /// re-bootstrapping over the wire.
+  /// When non-empty, every received bootstrap is persisted here as a
+  /// normal checkpoint file (relational::CheckpointWriter: its chunks go to
+  /// a temp file, fsynced and renamed before the load is published), so a
+  /// follower restart recovers locally and resumes from its own epoch
+  /// instead of re-bootstrapping over the wire.
   std::string checkpoint_path;
 };
 
@@ -166,7 +172,7 @@ struct FollowerOptions {
 struct FollowerStats {
   uint64_t connects = 0;           ///< successful subscriptions (1 = never
                                    ///< reconnected)
-  uint64_t snapshots_loaded = 0;   ///< wire bootstraps applied
+  uint64_t snapshots_loaded = 0;   ///< complete wire bootstraps applied
   uint64_t records_applied = 0;    ///< epochs applied (idempotent skips
                                    ///< counted separately)
   uint64_t bytes_applied = 0;      ///< payload bytes of applied records
@@ -239,6 +245,13 @@ class Follower {
   /// The last instant the replica was fully caught up (lag_epochs == 0);
   /// replication_lag_ms measures from here while behind.
   std::chrono::steady_clock::time_point caught_up_at_;
+
+  /// The bootstrap being received (subscription thread only): its chunks
+  /// load into tables detached from db_ and, with checkpoint_path, into a
+  /// temp checkpoint file; both become visible only at the final chunk.
+  std::unique_ptr<relational::StateLoader> load_;
+  std::unique_ptr<relational::CheckpointWriter> load_file_;
+  uint64_t load_epoch_ = 0;
 
   mutable std::mutex status_mu_;
   Status fatal_;  ///< non-OK once an apply failed (stream stopped)

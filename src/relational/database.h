@@ -333,6 +333,7 @@ class Table {
   friend class Database;
   friend class ExecutionContext;
   friend class OpDryRunner;
+  friend class StateLoader;
 
   /// kPageSlots row slots; `owner` is the generation allowed to write it in
   /// place.
@@ -637,8 +638,8 @@ class Database;
 class ExecutionContext;
 class WalWriter;
 struct DurabilityOptions;
-struct WalRecord;       // wal.h
-struct CheckpointImage;  // wal.h
+struct WalRecord;    // wal.h
+class StateLoader;   // wal.h
 
 /// One logical row-level redo operation destined for the WAL. Captured at
 /// every base-table mutation site, right next to the matching undo record;
@@ -1032,21 +1033,29 @@ class Database {
   Status RecoverFrom(const DurabilityOptions& opts);
   Status RecoverFrom(const std::string& wal_path);
 
-  /// Slot-exact fingerprint of the published tables (wal.h
-  /// EncodeDatabaseState): two databases holding identical published data
-  /// — e.g. one recovered, one live — compare byte-equal. Test oracle.
+  /// Slot-exact fingerprint of the published tables: the chunk frames of
+  /// a checkpoint file (wal.h StateEncoder), without its epoch, so two
+  /// databases holding identical published data — e.g. one recovered, one
+  /// live — compare byte-equal. Test oracle.
   Result<std::string> SerializePublishedState();
 
   // --- Replication (the follower's apply path; implemented in wal.cc) ---
 
-  /// Bootstraps a freshly created, never-published database from a shipped
-  /// state payload (wal.h EncodeDatabaseState) as of `epoch`: the wire twin
-  /// of RecoverFrom's checkpoint phase. The loaded state is published under
-  /// `epoch` through the normal MVCC path. Durability may already be
-  /// enabled — the snapshot itself is never logged (the follower persists
-  /// it as a local checkpoint file instead).
+  /// A loader for a chunked state stream (wal.h StateLoader) into fresh
+  /// tables of this database's schema, detached from it until
+  /// LoadReplicatedSnapshot installs them. It refers to this database's
+  /// schema, so it must not outlive the database.
+  std::unique_ptr<StateLoader> NewStateLoader() const;
+
+  /// Bootstraps a freshly created, never-published database from a
+  /// complete state load as of `epoch`: the wire twin of RecoverFrom's
+  /// checkpoint phase. The loaded tables are installed and published under
+  /// `epoch` in one step through the normal MVCC path, so no snapshot ever
+  /// sees part of the load. Durability may already be enabled — the
+  /// snapshot itself is never logged (the follower persists it as a local
+  /// checkpoint file instead).
   Status LoadReplicatedSnapshot(uint64_t epoch,
-                                const std::string& state_payload);
+                                std::unique_ptr<StateLoader> loader);
 
   /// Applies one shipped WAL record and publishes it under exactly
   /// `record.epoch` — Database::RecoverFrom running continuously. Records
@@ -1122,10 +1131,6 @@ class Database {
   /// makes it the published version and wakes the commit waiters
   /// (snapshot_mu_ held). Every publish path goes through here.
   void BuildVersionLocked(uint64_t epoch);
-  /// Slot-exact restore of a checkpoint image into the (empty) live tables
-  /// (snapshot_mu_ held; the RecoverFrom checkpoint phase and the wire
-  /// bootstrap share this).
-  Status ApplyCheckpointImageLocked(CheckpointImage&& image);
   /// Publish + GC with snapshot_mu_ held; reclaimed versions land in
   /// `graveyard`.
   Result<uint64_t> PublishLocked(Graveyard* graveyard);

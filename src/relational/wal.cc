@@ -74,17 +74,35 @@ void PutRow(std::string* out, const Row& row) {
   for (const Value& v : row) PutValue(out, v);
 }
 
+/// Overwrites the u32 at `pos` (a placeholder appended earlier).
+void StoreU32(std::string* out, size_t pos, uint32_t v) {
+  for (int i = 0; i < 4; ++i) {
+    (*out)[pos + i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Fills in the [u32 len][u32 crc32] header placeholder at `header` for
+/// the bytes appended after it.
+void SealFrameAt(std::string* out, size_t header) {
+  const size_t body = header + kFrameHeaderLen;
+  const size_t len = out->size() - body;
+  StoreU32(out, header, static_cast<uint32_t>(len));
+  StoreU32(out, header + 4, Crc32(out->data() + body, len));
+}
+
 /// Bounds-checked reader over an encoded buffer; any overrun or bad tag
 /// trips `ok` and makes every later read a no-op.
 struct ByteReader {
-  const std::string& buf;
+  const char* buf;
+  size_t size;
   size_t pos = 0;
   bool ok = true;
 
-  explicit ByteReader(const std::string& b) : buf(b) {}
+  explicit ByteReader(const std::string& b) : buf(b.data()), size(b.size()) {}
+  ByteReader(const char* data, size_t n) : buf(data), size(n) {}
 
   bool Need(size_t n) {
-    if (!ok || buf.size() - pos < n) ok = false;
+    if (!ok || size - pos < n) ok = false;
     return ok;
   }
   uint8_t ReadU8() {
@@ -110,7 +128,7 @@ struct ByteReader {
   std::string ReadString() {
     uint32_t len = ReadU32();
     if (!Need(len)) return {};
-    std::string s = buf.substr(pos, len);
+    std::string s(buf + pos, len);
     pos += len;
     return s;
   }
@@ -186,6 +204,36 @@ Status ReadFileContents(const std::string& path, std::string* out) {
   }
   ::close(fd);
   return Status::OK();
+}
+
+Status WriteAll(int fd, const char* data, size_t n, const std::string& what) {
+  size_t off = 0;
+  while (off < n) {
+    ssize_t w = ::write(fd, data + off, n - off);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("write '" + what + "'");
+    }
+    off += static_cast<size_t>(w);
+  }
+  return Status::OK();
+}
+
+/// Reads up to `n` bytes at `offset`; fewer only at end of file.
+Result<size_t> PreadFull(int fd, char* buf, size_t n, uint64_t offset,
+                         const std::string& what) {
+  size_t got = 0;
+  while (got < n) {
+    ssize_t r = ::pread(fd, buf + got, n - got,
+                        static_cast<off_t>(offset + got));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return ErrnoStatus("read '" + what + "'");
+    }
+    if (r == 0) break;
+    got += static_cast<size_t>(r);
+  }
+  return got;
 }
 
 }  // namespace
@@ -443,6 +491,44 @@ WalTailer::~WalTailer() {
   if (fd_ >= 0) ::close(fd_);
 }
 
+Result<bool> WalTailer::SkipToStartEpoch() {
+  struct stat st;
+  if (::fstat(fd_, &st) != 0) return ErrnoStatus("fstat wal '" + path_ + "'");
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  file_bytes_seen_ = std::max(file_bytes_seen_, size);
+  // The frame header plus the payload's leading epoch: all a skip reads.
+  constexpr size_t kPeek = kFrameHeaderLen + 8;
+  // Headers of consecutive small records share one read window.
+  char window[1 << 14];
+  uint64_t window_start = 0;
+  size_t window_len = 0;
+  while (offset_ + kPeek <= size) {
+    if (offset_ < window_start || offset_ + kPeek > window_start + window_len) {
+      UFILTER_ASSIGN_OR_RETURN(
+          window_len, PreadFull(fd_, window, sizeof window, offset_, path_));
+      window_start = offset_;
+      if (window_len < kPeek) return false;
+    }
+    ByteReader header(window + (offset_ - window_start), kPeek);
+    const uint32_t len = header.ReadU32();
+    (void)header.ReadU32();  // crc: a skipped payload is never read
+    const uint64_t epoch = header.ReadU64();
+    if (epoch > after_epoch_) {
+      skipping_ = false;
+      return true;
+    }
+    if (len < 12 || epoch <= last_skipped_epoch_) {
+      // Shorter than epoch + op count, or epochs not increasing.
+      return Status::Internal("wal '" + path_ + "': bad record header at " +
+                              std::to_string(offset_));
+    }
+    if (size - offset_ - kFrameHeaderLen < len) return false;  // mid-append
+    last_skipped_epoch_ = epoch;
+    offset_ += kFrameHeaderLen + len;
+  }
+  return false;
+}
+
 Result<std::vector<WalTailer::TailedRecord>> WalTailer::Poll(
     size_t max_batch_bytes) {
   std::vector<TailedRecord> batch;
@@ -452,6 +538,21 @@ Result<std::vector<WalTailer::TailedRecord>> WalTailer::Poll(
       if (errno == ENOENT) return batch;  // log not created yet
       return ErrnoStatus("open wal '" + path_ + "'");
     }
+  }
+  if (!magic_checked_) {
+    char magic[kMagicLen];
+    UFILTER_ASSIGN_OR_RETURN(size_t n,
+                             PreadFull(fd_, magic, kMagicLen, 0, path_));
+    if (n < kMagicLen) return batch;  // magic still torn
+    if (std::memcmp(magic, kWalMagic, kMagicLen) != 0) {
+      return Status::InvalidArgument("'" + path_ + "' is not a ufilter WAL");
+    }
+    magic_checked_ = true;
+    offset_ = kMagicLen;
+  }
+  if (skipping_) {
+    UFILTER_ASSIGN_OR_RETURN(bool past_start, SkipToStartEpoch());
+    if (!past_start) return batch;
   }
   // Pull everything new past (offset_ + pending_) into the pending buffer.
   for (;;) {
@@ -467,14 +568,6 @@ Result<std::vector<WalTailer::TailedRecord>> WalTailer::Poll(
     if (pending_.size() > max_batch_bytes + (64u << 10)) break;  // plenty
   }
   size_t pos = 0;
-  if (!magic_checked_) {
-    if (pending_.size() < kMagicLen) return batch;  // magic still torn
-    if (std::memcmp(pending_.data(), kWalMagic, kMagicLen) != 0) {
-      return Status::InvalidArgument("'" + path_ + "' is not a ufilter WAL");
-    }
-    magic_checked_ = true;
-    pos = kMagicLen;
-  }
   size_t batch_bytes = 0;
   while (pending_.size() - pos >= kFrameHeaderLen &&
          batch_bytes < max_batch_bytes) {
@@ -511,138 +604,287 @@ Result<std::vector<WalTailer::TailedRecord>> WalTailer::Poll(
   return batch;
 }
 
-// -------------------------------------------------------- Checkpoints ---
+// ------------------------------------------------------- State codec ---
 
-std::string EncodeDatabaseState(const DatabaseSchema& schema,
-                                const Snapshot& snapshot) {
-  std::string out;
-  PutU32(&out, static_cast<uint32_t>(schema.tables().size()));
+StateEncoder::StateEncoder(const DatabaseSchema& schema,
+                           const Snapshot& snapshot)
+    : schema_(schema), snapshot_(snapshot) {
+  slots_.reserve(schema.tables().size());
   for (size_t i = 0; i < schema.tables().size(); ++i) {
     const Table* table = snapshot.TableAt(i);
-    PutString(&out, schema.tables()[i].name());
-    // Interior tombstones are kept (later WAL records address rows by
-    // slot), but *trailing* dead slots are trimmed: a rolled-back insert
-    // grows the live slot array without ever reaching the log, so replay
-    // cannot reproduce the trailing tombstone — and has no need to, since
-    // nothing can ever reference it.
     size_t slots = table->SlotCount();
     while (slots > 0 &&
            table->GetRow(static_cast<RowId>(slots - 1)) == nullptr) {
       --slots;
     }
-    PutU64(&out, slots);
-    for (size_t slot = 0; slot < slots; ++slot) {
-      const Row* row = table->GetRow(static_cast<RowId>(slot));
-      PutU8(&out, row != nullptr ? 1 : 0);
-      if (row != nullptr) PutRow(&out, *row);
+    slots_.push_back(slots);
+  }
+}
+
+bool StateEncoder::AppendChunk(std::string* out, size_t max_bytes) {
+  const size_t start = out->size();
+  const uint32_t seq = seq_++;
+  PutU32(out, seq);
+  const size_t final_pos = out->size();
+  PutU8(out, 0);
+  if (seq == 0) {
+    PutU32(out, static_cast<uint32_t>(slots_.size()));
+    for (size_t i = 0; i < slots_.size(); ++i) {
+      PutString(out, schema_.tables()[i].name());
+      PutU64(out, slots_[i]);
     }
   }
-  return out;
-}
-
-std::string EncodeCheckpointFile(uint64_t epoch,
-                                 const std::string& state_payload) {
-  std::string payload;
-  payload.reserve(8 + state_payload.size());
-  PutU64(&payload, epoch);
-  payload += state_payload;
-  std::string out(kCheckpointMagic, kMagicLen);
-  PutU32(&out, static_cast<uint32_t>(payload.size()));
-  PutU32(&out, Crc32(payload.data(), payload.size()));
-  out += payload;
-  return out;
-}
-
-Result<CheckpointImage> ReadCheckpointFile(const std::string& path) {
-  std::string contents;
-  UFILTER_RETURN_NOT_OK(ReadFileContents(path, &contents));
-  if (contents.size() < kMagicLen + kFrameHeaderLen ||
-      std::memcmp(contents.data(), kCheckpointMagic, kMagicLen) != 0) {
-    return Status::InvalidArgument("'" + path +
-                                   "' is not a ufilter checkpoint");
-  }
-  ByteReader header(contents);
-  header.pos = kMagicLen;
-  const uint32_t len = header.ReadU32();
-  const uint32_t crc = header.ReadU32();
-  if (len != contents.size() - kMagicLen - kFrameHeaderLen) {
-    return Status::InvalidArgument("checkpoint '" + path +
-                                   "': length mismatch");
-  }
-  std::string payload = contents.substr(kMagicLen + kFrameHeaderLen, len);
-  if (Crc32(payload.data(), payload.size()) != crc) {
-    return Status::InvalidArgument("checkpoint '" + path +
-                                   "': checksum mismatch");
-  }
-  ByteReader epoch_reader(payload);
-  const uint64_t epoch = epoch_reader.ReadU64();
-  if (!epoch_reader.ok) {
-    return Status::InvalidArgument("checkpoint '" + path + "': truncated");
-  }
-  Result<CheckpointImage> image =
-      DecodeDatabaseState(epoch, payload.substr(8));
-  if (!image.ok()) {
-    return Status::InvalidArgument("checkpoint '" + path +
-                                   "': " + image.status().message());
-  }
-  return image;
-}
-
-Result<CheckpointImage> DecodeDatabaseState(uint64_t epoch,
-                                            const std::string& state_payload) {
-  ByteReader r(state_payload);
-  CheckpointImage image;
-  image.epoch = epoch;
-  uint32_t ntables = r.ReadU32();
-  for (uint32_t t = 0; t < ntables && r.ok; ++t) {
-    std::string name = r.ReadString();
-    uint64_t slots = r.ReadU64();
-    if (!r.Need(slots)) {  // >= 1 presence byte per slot
-      return Status::InvalidArgument("state payload: implausible slot count");
+  bool any_slot = false;
+  while (table_ < slots_.size() && out->size() - start < max_bytes) {
+    if (slot_ == slots_[table_]) {
+      ++table_;
+      slot_ = 0;
+      continue;
     }
-    std::vector<std::optional<Row>> rows;
-    rows.reserve(static_cast<size_t>(slots));
-    for (uint64_t s = 0; s < slots && r.ok; ++s) {
-      if (r.ReadU8() != 0) {
-        rows.emplace_back(r.ReadRow());
-      } else {
-        rows.emplace_back(std::nullopt);
+    const Table* table = snapshot_.TableAt(table_);
+    const size_t section = out->size();
+    PutU32(out, static_cast<uint32_t>(table_));
+    PutU64(out, slot_);
+    const size_t count_pos = out->size();
+    PutU32(out, 0);
+    uint32_t count = 0;
+    while (slot_ < slots_[table_] && count < UINT32_MAX) {
+      const size_t before = out->size();
+      const Row* row = table->GetRow(static_cast<RowId>(slot_));
+      PutU8(out, row != nullptr ? 1 : 0);
+      if (row != nullptr) PutRow(out, *row);
+      if (any_slot && out->size() - start > max_bytes) {
+        out->resize(before);  // this slot opens the next chunk
+        break;
+      }
+      any_slot = true;
+      ++count;
+      ++slot_;
+    }
+    if (count == 0) {
+      out->resize(section);
+      break;
+    }
+    StoreU32(out, count_pos, count);
+    if (slot_ < slots_[table_]) break;  // the chunk is full
+  }
+  while (table_ < slots_.size() && slot_ == slots_[table_]) {
+    ++table_;
+    slot_ = 0;
+  }
+  done_ = table_ == slots_.size();
+  (*out)[final_pos] = done_ ? 1 : 0;
+  return done_;
+}
+
+Status StateLoader::Apply(const char* data, size_t n) {
+  if (failed_) {
+    return Status::InvalidArgument("state load: an earlier chunk failed");
+  }
+  Status st = ApplyChunk(data, n);
+  if (!st.ok()) failed_ = true;
+  return st;
+}
+
+Status StateLoader::ApplyChunk(const char* data, size_t n) {
+  const std::string where = "state chunk " + std::to_string(next_seq_);
+  if (complete_) {
+    return Status::InvalidArgument(where + ": after the final chunk");
+  }
+  ByteReader r(data, n);
+  const uint32_t seq = r.ReadU32();
+  const uint8_t final_chunk = r.ReadU8();
+  if (!r.ok || final_chunk > 1) {
+    return Status::InvalidArgument(where + ": bad chunk header");
+  }
+  if (seq != next_seq_) {
+    return Status::InvalidArgument(where + ": got chunk " +
+                                   std::to_string(seq) + " instead");
+  }
+  if (seq == 0) {
+    const uint32_t ntables = r.ReadU32();
+    if (!r.Need(static_cast<size_t>(ntables) * 12)) {  // name len + slots
+      return Status::InvalidArgument(where + ": implausible table count");
+    }
+    for (uint32_t t = 0; t < ntables && r.ok; ++t) {
+      const std::string name = r.ReadString();
+      const uint64_t slots = r.ReadU64();
+      if (!r.ok) break;
+      Result<const TableSchema*> found = schema_->FindTable(name);
+      if (!found.ok()) {
+        return Status::InvalidArgument("state table '" + name +
+                                       "' is not in the schema");
+      }
+      Table* table = tables_[*found - schema_->tables().data()].get();
+      for (const Target& seen : targets_) {
+        if (seen.table == table) {
+          return Status::InvalidArgument("state table '" + name +
+                                         "' listed twice");
+        }
+      }
+      // Every slot costs at least one byte in some later chunk; a count
+      // no sane table reaches is a corrupt directory, not a reservation.
+      if (slots > (uint64_t{1} << 40)) {
+        return Status::InvalidArgument(where + ": implausible slot count");
+      }
+      table->ReserveRows(static_cast<size_t>(slots));
+      targets_.push_back({table, slots, 0});
+    }
+  }
+  while (r.ok && r.pos < n) {
+    const uint32_t t = r.ReadU32();
+    const uint64_t first = r.ReadU64();
+    const uint32_t count = r.ReadU32();
+    if (!r.ok) break;
+    if (t >= targets_.size() || t < current_) {
+      return Status::InvalidArgument(where + ": section for table #" +
+                                     std::to_string(t) + " out of order");
+    }
+    current_ = t;
+    Target& target = targets_[t];
+    if (first != target.next_slot || count > target.slots - first ||
+        !r.Need(count)) {  // >= 1 byte per slot
+      return Status::InvalidArgument(where + ": section slots out of order");
+    }
+    const size_t arity = target.table->schema().columns().size();
+    for (uint32_t i = 0; i < count && r.ok; ++i) {
+      const auto slot = static_cast<RowId>(first + i);
+      const uint8_t live = r.ReadU8();
+      if (live > 1) {
+        return Status::InvalidArgument(where + ": bad slot tag");
+      }
+      if (live == 0) {
+        // Tombstone: materialize the empty slot so later appends (and
+        // WAL-replayed inserts) land on the same RowIds.
+        target.table->GrowSlots(static_cast<size_t>(slot) + 1);
+        continue;
+      }
+      Row row = r.ReadRow();
+      if (!r.ok) break;
+      if (row.size() != arity) {
+        return Status::InvalidArgument(where + ": row arity mismatch in '" +
+                                       target.table->schema().name() + "'");
+      }
+      target.table->PutSlotForRecovery(slot, std::move(row));
+    }
+    target.next_slot += count;
+  }
+  if (!r.ok) return Status::InvalidArgument(where + ": truncated");
+  ++next_seq_;
+  if (final_chunk != 0) {
+    for (const Target& target : targets_) {
+      if (target.next_slot != target.slots) {
+        return Status::InvalidArgument(
+            where + ": final, but table '" + target.table->schema().name() +
+            "' is missing slots");
       }
     }
-    image.tables.emplace_back(std::move(name), std::move(rows));
+    complete_ = true;
   }
-  if (!r.ok || r.pos != state_payload.size()) {
-    return Status::InvalidArgument("state payload: truncated or trailing bytes");
-  }
-  return image;
+  return Status::OK();
 }
 
-Status WriteFileAtomicSynced(const std::string& path,
-                             const std::string& contents) {
+// -------------------------------------------------------- Checkpoints ---
+
+Result<std::unique_ptr<CheckpointWriter>> CheckpointWriter::Create(
+    const std::string& path, uint64_t epoch) {
   const std::string tmp = path + ".tmp";
   int fd = ::open(tmp.c_str(), O_CREAT | O_TRUNC | O_WRONLY, 0644);
   if (fd < 0) return ErrnoStatus("open '" + tmp + "'");
-  size_t off = 0;
-  while (off < contents.size()) {
-    ssize_t w = ::write(fd, contents.data() + off, contents.size() - off);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return ErrnoStatus("write '" + tmp + "'");
-    }
-    off += static_cast<size_t>(w);
+  std::unique_ptr<CheckpointWriter> writer(new CheckpointWriter(path, fd));
+  std::string head(kCheckpointMagic, kMagicLen);
+  const size_t header = head.size();
+  head.append(kFrameHeaderLen, '\0');
+  PutU64(&head, epoch);
+  SealFrameAt(&head, header);
+  UFILTER_RETURN_NOT_OK(WriteAll(fd, head.data(), head.size(), tmp));
+  return writer;
+}
+
+CheckpointWriter::~CheckpointWriter() {
+  if (fd_ >= 0) ::close(fd_);
+  if (!committed_) (void)::unlink((path_ + ".tmp").c_str());
+}
+
+Status CheckpointWriter::Append(const char* chunk, size_t n) {
+  std::string header;
+  PutU32(&header, static_cast<uint32_t>(n));
+  PutU32(&header, Crc32(chunk, n));
+  const std::string tmp = path_ + ".tmp";
+  UFILTER_RETURN_NOT_OK(WriteAll(fd_, header.data(), header.size(), tmp));
+  return WriteAll(fd_, chunk, n, tmp);
+}
+
+Status CheckpointWriter::Commit() {
+  const std::string tmp = path_ + ".tmp";
+  if (::fsync(fd_) != 0) return ErrnoStatus("fsync '" + tmp + "'");
+  ::close(fd_);
+  fd_ = -1;
+  if (::rename(tmp.c_str(), path_.c_str()) != 0) {
+    return ErrnoStatus("rename '" + tmp + "' -> '" + path_ + "'");
   }
-  if (::fsync(fd) != 0) {
-    ::close(fd);
-    return ErrnoStatus("fsync '" + tmp + "'");
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), path.c_str()) != 0) {
-    return ErrnoStatus("rename '" + tmp + "' -> '" + path + "'");
-  }
+  committed_ = true;
   // Make the rename itself durable.
-  FsyncParentDir(path);
+  FsyncParentDir(path_);
   return Status::OK();
+}
+
+Result<uint64_t> ReadCheckpointFile(const std::string& path,
+                                    StateLoader* loader) {
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    if (errno == ENOENT) return Status::NotFound("no file '" + path + "'");
+    return ErrnoStatus("open '" + path + "'");
+  }
+  struct FdCloser {
+    int fd;
+    ~FdCloser() { ::close(fd); }
+  } closer{fd};
+  struct stat st;
+  if (::fstat(fd, &st) != 0) return ErrnoStatus("fstat '" + path + "'");
+  const uint64_t size = static_cast<uint64_t>(st.st_size);
+  auto bad = [&](const std::string& why) {
+    return Status::InvalidArgument("checkpoint '" + path + "': " + why);
+  };
+  char magic[kMagicLen];
+  UFILTER_ASSIGN_OR_RETURN(size_t got,
+                           PreadFull(fd, magic, kMagicLen, 0, path));
+  if (got < kMagicLen || std::memcmp(magic, kCheckpointMagic, kMagicLen) != 0) {
+    return Status::InvalidArgument("'" + path +
+                                   "' is not a ufilter checkpoint");
+  }
+  // Frame 0 holds the epoch; every later frame one state chunk, read into
+  // one reused buffer.
+  uint64_t offset = kMagicLen;
+  uint64_t epoch = 0;
+  std::string frame;
+  for (uint64_t index = 0; offset < size; ++index) {
+    char header[kFrameHeaderLen];
+    UFILTER_ASSIGN_OR_RETURN(
+        got, PreadFull(fd, header, kFrameHeaderLen, offset, path));
+    if (got < kFrameHeaderLen) return bad("truncated frame header");
+    ByteReader h(header, kFrameHeaderLen);
+    const uint32_t len = h.ReadU32();
+    const uint32_t crc = h.ReadU32();
+    offset += kFrameHeaderLen;
+    if (len > size - offset) return bad("length mismatch");
+    frame.resize(len);
+    UFILTER_ASSIGN_OR_RETURN(got, PreadFull(fd, frame.data(), len, offset, path));
+    if (got < len) return bad("truncated");
+    offset += len;
+    if (Crc32(frame.data(), len) != crc) return bad("checksum mismatch");
+    if (index == 0) {
+      ByteReader e(frame);
+      epoch = e.ReadU64();
+      if (!e.ok || e.pos != len) return bad("bad epoch frame");
+      continue;
+    }
+    if (loader->complete()) return bad("trailing bytes after the final chunk");
+    Status applied = loader->Apply(frame.data(), frame.size());
+    if (!applied.ok()) return bad(applied.message());
+  }
+  if (!loader->complete()) return bad("truncated (no final chunk)");
+  return epoch;
 }
 
 void SetRecoveryCrashPointForTesting(int point) {
@@ -730,17 +972,44 @@ void Database::set_wal_crash_after_bytes_for_testing(int64_t n) {
 
 Result<std::string> Database::SerializePublishedState() {
   std::shared_ptr<const Snapshot> snapshot = OpenSnapshot();
-  return EncodeDatabaseState(schema_, *snapshot);
+  // The checkpoint file's chunk frames, minus its magic and epoch frame.
+  StateEncoder encoder(schema_, *snapshot);
+  std::string out;
+  while (!encoder.done()) {
+    const size_t header = out.size();
+    out.append(kFrameHeaderLen, '\0');
+    encoder.AppendChunk(&out, kStateChunkBytes);
+    SealFrameAt(&out, header);
+  }
+  return out;
 }
 
 Result<uint64_t> Database::WriteCheckpoint(const std::string& path) {
   // An MVCC snapshot makes the serialization free of coordination: writers
-  // keep committing while we stream an immutable version to disk.
+  // keep committing while we stream an immutable version to disk, one
+  // chunk at a time.
   std::shared_ptr<const Snapshot> snapshot = OpenSnapshot();
-  const std::string state = EncodeDatabaseState(schema_, *snapshot);
-  UFILTER_RETURN_NOT_OK(
-      WriteFileAtomicSynced(path, EncodeCheckpointFile(snapshot->epoch(), state)));
+  UFILTER_ASSIGN_OR_RETURN(auto writer,
+                           CheckpointWriter::Create(path, snapshot->epoch()));
+  StateEncoder encoder(schema_, *snapshot);
+  std::string chunk;
+  while (!encoder.done()) {
+    chunk.clear();
+    encoder.AppendChunk(&chunk, kStateChunkBytes);
+    UFILTER_RETURN_NOT_OK(writer->Append(chunk.data(), chunk.size()));
+  }
+  UFILTER_RETURN_NOT_OK(writer->Commit());
   return snapshot->epoch();
+}
+
+std::unique_ptr<StateLoader> Database::NewStateLoader() const {
+  std::vector<std::shared_ptr<Table>> tables;
+  tables.reserve(schema_.tables().size());
+  for (const TableSchema& table : schema_.tables()) {
+    tables.push_back(std::make_shared<Table>(&table, &stats_));
+  }
+  return std::unique_ptr<StateLoader>(
+      new StateLoader(&schema_, std::move(tables)));
 }
 
 Status Database::RecoverFrom(const std::string& wal_path) {
@@ -779,14 +1048,16 @@ Status Database::RecoverFrom(const DurabilityOptions& opts) {
   // Phase 1: the checkpoint (when configured and present) restores one full
   // published version, slot-exactly.
   if (!opts.checkpoint_path.empty()) {
-    Result<CheckpointImage> image = ReadCheckpointFile(opts.checkpoint_path);
-    if (!image.ok() && image.status().IsNotFound()) {
+    std::unique_ptr<StateLoader> loader = NewStateLoader();
+    Result<uint64_t> epoch =
+        ReadCheckpointFile(opts.checkpoint_path, loader.get());
+    if (!epoch.ok() && epoch.status().IsNotFound()) {
       // No checkpoint yet: replay the whole WAL below.
-    } else if (!image.ok()) {
-      return image.status();
+    } else if (!epoch.ok()) {
+      return epoch.status();
     } else {
-      recovered_epoch = image->epoch;
-      UFILTER_RETURN_NOT_OK(ApplyCheckpointImageLocked(std::move(*image)));
+      recovered_epoch = *epoch;
+      tables_ = std::move(loader->tables_);
     }
   }
 
@@ -877,40 +1148,18 @@ Status Database::RecoverFrom(const DurabilityOptions& opts) {
   return Status::OK();
 }
 
-Status Database::ApplyCheckpointImageLocked(CheckpointImage&& image) {
-  for (auto& [name, slots] : image.tables) {
-    auto it = table_index_.find(name);
-    if (it == table_index_.end()) {
-      return Status::InvalidArgument(
-          "checkpoint table '" + name + "' is not in the schema");
-    }
-    Table* table = tables_[it->second].get();
-    const size_t arity = table->schema().columns().size();
-    table->ReserveRows(slots.size());
-    for (size_t slot = 0; slot < slots.size(); ++slot) {
-      if (!slots[slot].has_value()) {
-        // Tombstone: materialize the empty slot so later AppendRows
-        // (and WAL-replayed inserts) land on the same RowIds.
-        table->GrowSlots(slot + 1);
-        continue;
-      }
-      if (slots[slot]->size() != arity) {
-        return Status::Internal("checkpoint row arity mismatch in '" + name +
-                                "'");
-      }
-      table->PutSlotForRecovery(static_cast<RowId>(slot),
-                                std::move(*slots[slot]));
-    }
-  }
-  return Status::OK();
-}
-
 // ------------------------------------------------- Replication apply ---
 
 Status Database::LoadReplicatedSnapshot(uint64_t epoch,
-                                        const std::string& state_payload) {
-  Result<CheckpointImage> image = DecodeDatabaseState(epoch, state_payload);
-  if (!image.ok()) return image.status();
+                                        std::unique_ptr<StateLoader> loader) {
+  if (loader->schema_ != &schema_) {
+    return Status::InvalidArgument(
+        "LoadReplicatedSnapshot: the loader belongs to another database");
+  }
+  if (!loader->complete()) {
+    return Status::InvalidArgument(
+        "LoadReplicatedSnapshot: the state load is incomplete");
+  }
   std::lock_guard<std::mutex> lock(snapshot_mu_);
   if (commit_epoch_ != 0 || published_ != nullptr || live_dirty_) {
     return Status::InvalidArgument(
@@ -923,7 +1172,7 @@ Status Database::LoadReplicatedSnapshot(uint64_t epoch,
           "(table '" + table->schema().name() + "' is not empty)");
     }
   }
-  UFILTER_RETURN_NOT_OK(ApplyCheckpointImageLocked(std::move(*image)));
+  tables_ = std::move(loader->tables_);
   commit_epoch_ = epoch;
   if (epoch > 0) BuildVersionLocked(epoch);
   return Status::OK();

@@ -24,6 +24,7 @@
 #ifndef UFILTER_RELATIONAL_WAL_H_
 #define UFILTER_RELATIONAL_WAL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -158,11 +159,17 @@ Result<WalReadResult> ReadWal(const std::string& path);
 /// \brief Incremental reader over a *live* WAL file: the replication feed.
 ///
 /// Keeps a byte offset into the log and, on each Poll(), returns every
-/// record frame that has become complete since the last call. An
-/// incomplete tail (the writer is mid-append) is simply "no more records
-/// yet" — but a complete-length frame with a CRC or decode failure is real
-/// corruption and a permanent error, because an append-only writer never
-/// leaves bad bytes *behind* the tail it is extending.
+/// record frame past `after_epoch` that has become complete since the last
+/// call. An incomplete tail (the writer is mid-append) is simply "no more
+/// records yet" — but a complete-length frame with a CRC or decode failure
+/// is real corruption and a permanent error, because an append-only writer
+/// never leaves bad bytes *behind* the tail it is extending.
+///
+/// Records at or below `after_epoch` (what a subscriber already holds from
+/// its bootstrap or its own log) are stepped over by header: only each
+/// frame's length and the payload's leading epoch are read, so their
+/// payloads are never buffered, checksummed or decoded. Their epochs must
+/// still strictly increase.
 ///
 /// Not internally synchronized; one tailer per subscriber thread.
 class WalTailer {
@@ -176,7 +183,10 @@ class WalTailer {
     uint64_t end_offset = 0;
   };
 
-  explicit WalTailer(std::string path) : path_(std::move(path)) {}
+  explicit WalTailer(std::string path, uint64_t after_epoch = 0)
+      : path_(std::move(path)),
+        after_epoch_(after_epoch),
+        skipping_(after_epoch > 0) {}
   ~WalTailer();
   WalTailer(const WalTailer&) = delete;
   WalTailer& operator=(const WalTailer&) = delete;
@@ -191,10 +201,23 @@ class WalTailer {
 
   /// Total file bytes observed so far (consumed + a possibly-incomplete
   /// tail). The shipped-vs-total pair is the subscriber's byte lag.
-  uint64_t known_file_bytes() const { return offset_ + pending_.size(); }
+  uint64_t known_file_bytes() const {
+    return std::max(offset_ + pending_.size(), file_bytes_seen_);
+  }
 
  private:
+  /// Advances offset_ past whole records with epochs <= after_epoch_.
+  /// Returns false while such a record is still being appended.
+  Result<bool> SkipToStartEpoch();
+
   std::string path_;
+  uint64_t after_epoch_ = 0;
+  /// Still stepping over records at or below after_epoch_.
+  bool skipping_;
+  uint64_t last_skipped_epoch_ = 0;
+  /// File size at the last skip pass (the skip reads no bytes into
+  /// pending_, so known_file_bytes() needs it).
+  uint64_t file_bytes_seen_ = 0;
   int fd_ = -1;
   bool magic_checked_ = false;
   uint64_t offset_ = 0;
@@ -202,37 +225,131 @@ class WalTailer {
   std::string pending_;
 };
 
-/// A parsed checkpoint: one immutable DatabaseVersion, slot-exact.
-struct CheckpointImage {
-  uint64_t epoch = 0;
-  /// Per table (schema order at write time): name + the full row-slot
-  /// array, tombstones included, so recovered RowIds match exactly.
-  std::vector<std::pair<std::string, std::vector<std::optional<Row>>>> tables;
+// ---- The state format: one chunked codec for every full-state image ----
+//
+// A published version travels as a sequence of self-checking chunks, each
+// at most a caller-chosen byte budget (one row larger than the budget gets
+// a chunk of its own). Checkpoint files, the replication bootstrap
+// (kReplSnapshot) and the SerializePublishedState fingerprint all carry
+// exactly these chunk bytes, so a writer or a sender holds one chunk at a
+// time and a reader loads each chunk as it arrives. A chunk is
+//
+//   [u32 seq][u8 final] [directory, in chunk 0 only] section*
+//   directory := [u32 ntables] ([str name][u64 slots])*
+//   section   := [u32 table][u64 first_slot][u32 count] slot{count}
+//   slot      := [u8 live] [row, when live]
+//
+// Chunks are numbered from 0 and the last one is marked final. Sections
+// walk the tables in directory order and each table's slots in order, so
+// the loader can insist on the exact next (table, slot) and a missing,
+// repeated or reordered chunk is an error, never a silent gap. Tombstones
+// are kept slot-exactly (later WAL records address rows by slot), except
+// *trailing* dead slots: a rolled-back insert grows the live slot array
+// without reaching the log, so replay could not reproduce it — and nothing
+// can ever reference it.
+
+/// Chunk budget of checkpoint files and SerializePublishedState.
+inline constexpr size_t kStateChunkBytes = 64u << 10;
+
+/// \brief Encodes one pinned snapshot as a chunk sequence.
+///
+/// Holds a reference to `snapshot` (the caller keeps it pinned until
+/// done()) and only cursor state, so encoding a table costs O(one chunk)
+/// of memory whatever the table size.
+class StateEncoder {
+ public:
+  StateEncoder(const DatabaseSchema& schema, const Snapshot& snapshot);
+
+  /// Appends the next chunk to `*out` (which may already hold a frame
+  /// header) using at most `max_bytes` bytes unless a single row needs
+  /// more. Returns true when that chunk was the final one.
+  bool AppendChunk(std::string* out, size_t max_bytes);
+  bool done() const { return done_; }
+
+ private:
+  const DatabaseSchema& schema_;
+  const Snapshot& snapshot_;
+  /// Per table: slots to ship (trailing tombstones trimmed).
+  std::vector<uint64_t> slots_;
+  uint32_t seq_ = 0;
+  size_t table_ = 0;
+  uint64_t slot_ = 0;
+  bool done_ = false;
 };
 
-/// Serializes a pinned snapshot's tables slot-exactly (no epoch, no
-/// framing). Also the state-equality fingerprint the durability tests
-/// compare recovered databases with (Database::SerializePublishedState).
-std::string EncodeDatabaseState(const DatabaseSchema& schema,
-                                const Snapshot& snapshot);
+/// \brief Loads a chunk sequence into fresh tables, chunk by chunk.
+///
+/// The tables are detached from any database until
+/// Database::LoadReplicatedSnapshot installs them, so nothing of a partial
+/// load is ever visible; dropping the loader discards it. Each table is
+/// sized once (ReserveRows) from the directory in chunk 0. Obtain one from
+/// Database::NewStateLoader.
+class StateLoader {
+ public:
+  /// Loads the next chunk. Any malformed, out-of-order or schema-foreign
+  /// chunk is an error and leaves the loader unusable.
+  Status Apply(const char* data, size_t n);
+  /// True once the final chunk loaded and every table got all its slots.
+  bool complete() const { return complete_; }
+  uint32_t chunks_applied() const { return next_seq_; }
 
-/// Parses an EncodeDatabaseState payload into a CheckpointImage stamped
-/// with `epoch` — the wire-bootstrap path (kReplSnapshot); checkpoint
-/// *files* go through ReadCheckpointFile, which validates magic + CRC
-/// before delegating here.
-Result<CheckpointImage> DecodeDatabaseState(uint64_t epoch,
-                                            const std::string& state_payload);
+ private:
+  friend class Database;
+  StateLoader(const DatabaseSchema* schema,
+              std::vector<std::shared_ptr<Table>> tables)
+      : schema_(schema), tables_(std::move(tables)) {}
+  Status ApplyChunk(const char* data, size_t n);
 
-/// Full checkpoint file image: magic + CRC frame around epoch + state.
-std::string EncodeCheckpointFile(uint64_t epoch,
-                                 const std::string& state_payload);
-/// Strict parse (checkpoints are written atomically; any damage is fatal).
-Result<CheckpointImage> ReadCheckpointFile(const std::string& path);
+  struct Target {
+    Table* table = nullptr;
+    uint64_t slots = 0;
+    uint64_t next_slot = 0;
+  };
 
-/// Writes `contents` via temp file + fsync + rename so a crash mid-write
-/// never leaves a half-written file at `path`.
-Status WriteFileAtomicSynced(const std::string& path,
-                             const std::string& contents);
+  const DatabaseSchema* schema_;
+  /// One fresh table per schema table, in schema order.
+  std::vector<std::shared_ptr<Table>> tables_;
+  /// The directory: per shipped table, where its slots go.
+  std::vector<Target> targets_;
+  size_t current_ = 0;  ///< directory index sections may address next
+  uint32_t next_seq_ = 0;
+  bool complete_ = false;
+  bool failed_ = false;
+};
+
+/// \brief Writes a checkpoint file chunk by chunk: a temp file that
+/// Commit() fsyncs and renames over `path`, so a crash mid-write never
+/// leaves a half-written checkpoint. The file is the magic, one frame with
+/// the epoch, then one [u32 len][u32 crc32] frame per state chunk.
+class CheckpointWriter {
+ public:
+  static Result<std::unique_ptr<CheckpointWriter>> Create(
+      const std::string& path, uint64_t epoch);
+  /// Removes the temp file unless Commit() succeeded.
+  ~CheckpointWriter();
+  CheckpointWriter(const CheckpointWriter&) = delete;
+  CheckpointWriter& operator=(const CheckpointWriter&) = delete;
+
+  /// Appends one state chunk (StateEncoder bytes) as a checksummed frame.
+  Status Append(const char* chunk, size_t n);
+  /// fsyncs the temp file, renames it to `path` and fsyncs the directory.
+  Status Commit();
+
+ private:
+  CheckpointWriter(std::string path, int fd)
+      : path_(std::move(path)), fd_(fd) {}
+
+  std::string path_;
+  int fd_ = -1;
+  bool committed_ = false;
+};
+
+/// Streams checkpoint file `path` into `loader` one chunk at a time and
+/// returns the checkpoint's epoch. Strict: checkpoints are written
+/// atomically, so any damage or an incomplete chunk sequence is an error.
+/// A missing file is NotFound.
+Result<uint64_t> ReadCheckpointFile(const std::string& path,
+                                    StateLoader* loader);
 
 /// Crash-injection hook for the recovery crash-fuzz: a nonzero point makes
 /// RecoverFrom raise SIGKILL at a chosen step of the torn-tail truncation

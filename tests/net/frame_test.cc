@@ -71,6 +71,33 @@ TEST(FrameCodecTest, ReplAckHasItsDeclaredLength) {
   EXPECT_EQ(ack->applied_epoch, 77u);
 }
 
+TEST(FrameCodecTest, ReplSnapshotChunkIsFramedInPlace) {
+  // Built the way the source builds it: one reused buffer, the chunk
+  // appended after the header, the frame sealed in place.
+  const std::string chunk("state chunk bytes\0with a nul", 28);
+  std::string frame = "stale bytes of an earlier frame";
+  BeginFrame(&frame);
+  BeginReplSnapshot(&frame, 0x0102030405060708ull);
+  frame += chunk;
+  SealFrame(&frame);
+
+  FrameReader reader;
+  reader.Feed(frame.data(), frame.size());
+  auto payload = reader.Next();
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  ASSERT_TRUE(payload->has_value());
+  EXPECT_EQ(frame, FramePayload(**payload)) << "in-place == FramePayload";
+  EXPECT_EQ((*payload)->size(), kReplSnapshotHeaderLen + chunk.size());
+  auto decoded = DecodeReplSnapshot(**payload);
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->epoch, 0x0102030405060708ull);
+  EXPECT_EQ(std::string(decoded->data, decoded->size), chunk);
+
+  // A header cut short, or another message type, is not a chunk.
+  EXPECT_FALSE(DecodeReplSnapshot((*payload)->substr(0, 5)).ok());
+  EXPECT_FALSE(DecodeReplSnapshot(EncodeReplAck({1})).ok());
+}
+
 obs::RegistrySnapshot SampleRegistry() {
   obs::RegistrySnapshot snap;
   obs::MetricSample counter;

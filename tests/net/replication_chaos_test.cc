@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "../support/chaos_proxy.h"
 #include "../support/temp_dir.h"
@@ -19,6 +23,8 @@
 #include "net/frame.h"
 #include "net/server.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
+#include "relational/wal.h"
 
 namespace ufilter::net {
 namespace {
@@ -36,6 +42,7 @@ struct Rig {
   Rig(Rig&&) = default;
   Rig& operator=(Rig&&) = default;
 
+  int rows = kRows;
   std::unique_ptr<Database> primary_db;
   std::unique_ptr<UFilter> primary_uf;
   std::unique_ptr<Server> primary_server;
@@ -46,8 +53,12 @@ struct Rig {
   std::unique_ptr<Server> follower_server;
   std::unique_ptr<Follower> follower;
 
-  static Rig Up(const std::string& wal) {
+  /// `before_follow` runs once everything but the Follower is up: the
+  /// place to arm proxy faults for the very first subscription.
+  static Rig Up(const std::string& wal, int rows = kRows,
+                const std::function<void(Rig*)>& before_follow = {}) {
     Rig rig;
+    rig.rows = rows;
     auto db = Database::Create(fixtures::MakeChainSchema(kDepth));
     EXPECT_TRUE(db.ok()) << db.status().ToString();
     rig.primary_db = std::move(*db);
@@ -56,7 +67,7 @@ struct Rig {
     dopts.fsync_policy = relational::FsyncPolicy::kGroup;
     EXPECT_TRUE(rig.primary_db->EnableDurability(dopts).ok());
     EXPECT_TRUE(
-        fixtures::PopulateChain(rig.primary_db.get(), kDepth, kRows).ok());
+        fixtures::PopulateChain(rig.primary_db.get(), kDepth, rows).ok());
     EXPECT_TRUE(rig.primary_db->PublishVersion().ok());
     auto uf = UFilter::Create(rig.primary_db.get(),
                               fixtures::ChainViewQuery(kDepth));
@@ -85,6 +96,7 @@ struct Rig {
     auto fserver = Server::Start(rig.follower_uf.get());
     EXPECT_TRUE(fserver.ok()) << fserver.status().ToString();
     rig.follower_server = std::move(*fserver);
+    if (before_follow) before_follow(&rig);
 
     FollowerOptions fopts;
     fopts.port = rig.proxy->port();
@@ -97,7 +109,7 @@ struct Rig {
   }
 
   Status Commit(int batch) {
-    return fixtures::ApplyChainBatch(primary_db.get(), kDepth, kRows,
+    return fixtures::ApplyChainBatch(primary_db.get(), kDepth, rows,
                                      /*seed=*/23, batch);
   }
 
@@ -338,6 +350,86 @@ TEST(ReplicationChaosTest, OversizedSubscribeIsRefusedBeforeItsBody) {
   EXPECT_TRUE(ProtocolErrorCounted(*rig.source, errors_before,
                                    std::chrono::milliseconds(1000)));
   CloseFd(fd);
+}
+
+/// Frame sizes of the bootstrap `db` ships while its state stays as it is
+/// now: header + kReplSnapshot header + one chunk each.
+std::vector<int64_t> BootstrapFrameSizes(Database* db) {
+  auto snapshot = db->OpenSnapshot();
+  relational::StateEncoder encoder(db->schema(), *snapshot);
+  std::vector<int64_t> sizes;
+  std::string chunk;
+  while (!encoder.done()) {
+    chunk.clear();
+    encoder.AppendChunk(&chunk, kReplSnapshotChunkBytes);
+    sizes.push_back(static_cast<int64_t>(kFrameHeaderLen +
+                                         kReplSnapshotHeaderLen + chunk.size()));
+  }
+  return sizes;
+}
+
+/// A bootstrap broken in the middle of its second chunk — severed, or one
+/// bit flipped so the frame fails its CRC — is dropped whole: the
+/// follower's published epoch stays 0 (never a partial state), then it
+/// resubscribes from 0, bootstraps again and converges, and only the
+/// complete load counts in repl_snapshots_loaded.
+void BrokenBootstrapIsNeverVisible(bool corrupt) {
+  TempDir tmp(corrupt ? "repl_boot_corrupt" : "repl_boot_sever");
+  ASSERT_TRUE(tmp.ok());
+  constexpr int kBigRows = 3000;  // several kReplSnapshotChunkBytes chunks
+  std::atomic<bool> stop{false};
+  std::set<uint64_t> epochs_seen;
+  std::thread sampler;
+  uint64_t boot_epoch = 0;
+  size_t chunks = 0;
+  Rig rig = Rig::Up(tmp.path("primary.wal"), kBigRows, [&](Rig* r) {
+    boot_epoch = r->primary_db->commit_epoch();
+    std::vector<int64_t> frames = BootstrapFrameSizes(r->primary_db.get());
+    chunks = frames.size();
+    ASSERT_GE(frames.size(), 3u);
+    const int64_t mid_second_chunk = frames[0] + frames[1] / 2;
+    if (corrupt) {
+      r->proxy->CorruptDownstreamAt(mid_second_chunk);
+    } else {
+      r->proxy->SeverDownstreamAfter(mid_second_chunk);
+    }
+    obs::Registry* registry = &r->follower_server->service().registry();
+    sampler = std::thread([&stop, &epochs_seen, registry] {
+      while (!stop.load()) {
+        epochs_seen.insert(
+            obs::SampleValue(registry->Collect(), "db_commit_epoch"));
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+      }
+    });
+  });
+  if (chunks >= 3) rig.ExpectConverged("after the broken bootstrap");
+  stop.store(true);
+  if (sampler.joinable()) sampler.join();
+  ASSERT_GE(chunks, 3u);
+  // Convergence can return between two samples: take the last one here.
+  epochs_seen.insert(obs::SampleValue(
+      rig.follower_server->service().registry().Collect(), "db_commit_epoch"));
+  EXPECT_EQ(epochs_seen, (std::set<uint64_t>{0, boot_epoch}))
+      << "the follower published something other than nothing or the "
+         "whole bootstrap";
+  const FollowerStats stats = rig.follower->stats();
+  EXPECT_GE(stats.connects, 2u) << "the fault never broke the bootstrap";
+  EXPECT_EQ(stats.snapshots_loaded, 1u);
+  EXPECT_EQ(stats.records_applied, 0u);
+  EXPECT_GT(rig.source->stats().snapshot_chunks_shipped, chunks)
+      << "the second bootstrap must resend from the first chunk";
+
+  // The stream carries on past the bootstrap.
+  ASSERT_TRUE(rig.Commit(0).ok());
+  rig.ExpectConverged("after a commit");
+}
+
+TEST(ReplicationChaosTest, BootstrapSeveredMidChunkIsDroppedWhole) {
+  BrokenBootstrapIsNeverVisible(/*corrupt=*/false);
+}
+
+TEST(ReplicationChaosTest, BootstrapCorruptedMidChunkIsDroppedWhole) {
+  BrokenBootstrapIsNeverVisible(/*corrupt=*/true);
 }
 
 }  // namespace

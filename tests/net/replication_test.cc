@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -52,7 +53,7 @@ struct Node {
 /// A durable primary: schema + WAL on, then seeded *through* the WAL so
 /// the log certifies everything (the snapshot bootstrap covers pre-WAL
 /// state anyway, but the crash tests want the full history on disk).
-Node MakeChainPrimary(const std::string& wal) {
+Node MakeChainPrimary(const std::string& wal, int rows = kRows) {
   Node node;
   auto db = Database::Create(fixtures::MakeChainSchema(kDepth));
   EXPECT_TRUE(db.ok()) << db.status().ToString();
@@ -61,7 +62,7 @@ Node MakeChainPrimary(const std::string& wal) {
   dopts.wal_path = wal;
   dopts.fsync_policy = relational::FsyncPolicy::kGroup;
   EXPECT_TRUE(node.db->EnableDurability(dopts).ok());
-  EXPECT_TRUE(fixtures::PopulateChain(node.db.get(), kDepth, kRows).ok());
+  EXPECT_TRUE(fixtures::PopulateChain(node.db.get(), kDepth, rows).ok());
   EXPECT_TRUE(node.db->PublishVersion().ok());
   EXPECT_TRUE(node.db->SyncWal().ok());
   auto uf = UFilter::Create(node.db.get(), fixtures::ChainViewQuery(kDepth));
@@ -435,6 +436,136 @@ TEST(ReplicationTest, SubscriberGaugeCountsConcurrentSubscribersExactly) {
   for (int fd : fds) CloseFd(fd);
   EXPECT_TRUE(wait_for_gauge(0))
       << "subscribers=" << source->stats().subscribers;
+  source->Stop();
+}
+
+/// A hand-driven subscription: the frames a source sends, one at a time.
+class RawSubscriber {
+ public:
+  RawSubscriber(uint16_t port, uint64_t start_epoch) {
+    auto fd = ConnectTcp("127.0.0.1", port, std::chrono::milliseconds(5000));
+    EXPECT_TRUE(fd.ok()) << fd.status().ToString();
+    if (!fd.ok()) return;
+    fd_ = *fd;
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    const std::string subscribe =
+        FramePayload(EncodeReplSubscribe({start_epoch, 0}));
+    EXPECT_TRUE(SendAll(fd_, kNetMagic, kNetMagicLen, deadline).ok());
+    EXPECT_TRUE(
+        SendAll(fd_, subscribe.data(), subscribe.size(), deadline).ok());
+  }
+  ~RawSubscriber() { CloseFd(fd_); }
+
+  /// The next frame's payload.
+  Result<std::string> Next() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    char buf[65536];
+    while (true) {
+      auto next = frames_.Next();
+      UFILTER_RETURN_NOT_OK(next.status());
+      if (next->has_value()) return std::move(**next);
+      auto got = RecvSome(fd_, buf, sizeof(buf), deadline);
+      UFILTER_RETURN_NOT_OK(got.status());
+      frames_.Feed(buf, *got);
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  FrameReader frames_{/*expect_magic=*/false, kReplMaxFrameBytes};
+};
+
+// The bootstrap is a sequence of bounded chunks, whatever the state size:
+// no frame is larger than one chunk plus its header, so no state is too
+// big for the follower's frame cap. The tail that follows starts past the
+// bootstrap epoch.
+TEST(ReplicationTest, BootstrapShipsTheStateInBoundedChunks) {
+  TempDir tmp("repl_chunks");
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("primary.wal");
+  Node primary = MakeChainPrimary(wal, /*rows=*/4000);
+  auto source = StartSource(&primary, wal);
+  ASSERT_NE(source, nullptr);
+
+  auto replica = Database::Create(fixtures::MakeChainSchema(kDepth));
+  ASSERT_TRUE(replica.ok());
+  auto loader = (*replica)->NewStateLoader();
+  RawSubscriber sub(source->port(), /*start_epoch=*/0);
+  size_t chunks = 0;
+  size_t largest = 0;
+  uint64_t frame_bytes = 0;
+  uint64_t epoch = 0;
+  while (!loader->complete()) {
+    auto payload = sub.Next();
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    auto chunk = DecodeReplSnapshot(*payload);
+    ASSERT_TRUE(chunk.ok()) << "frame " << chunks << " is not a chunk";
+    if (chunks == 0) epoch = chunk->epoch;
+    EXPECT_EQ(chunk->epoch, epoch) << "every chunk is of one snapshot";
+    ASSERT_TRUE(loader->Apply(chunk->data, chunk->size).ok());
+    largest = std::max(largest, payload->size());
+    frame_bytes += kFrameHeaderLen + payload->size();
+    ++chunks;
+  }
+  EXPECT_GE(chunks, 4u);
+  EXPECT_LE(largest, kReplSnapshotHeaderLen + kReplSnapshotChunkBytes);
+  EXPECT_EQ(epoch, primary.db->commit_epoch());
+
+  auto heartbeat = sub.Next();
+  ASSERT_TRUE(heartbeat.ok()) << heartbeat.status().ToString();
+  auto records = DecodeReplRecords(*heartbeat);
+  ASSERT_TRUE(records.ok()) << "the tail follows the final chunk";
+  EXPECT_TRUE(records->records.empty())
+      << "the seed epoch is inside the bootstrap and never re-shipped";
+
+  ASSERT_TRUE(
+      (*replica)->LoadReplicatedSnapshot(epoch, std::move(loader)).ok());
+  EXPECT_EQ(StateOf(replica->get()), StateOf(primary.db.get()));
+  bool counted = false;
+  for (int i = 0; i < 200 && !counted; ++i) {
+    counted = source->stats().snapshots_shipped == 1;
+    if (!counted) std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(counted);
+  EXPECT_EQ(source->stats().snapshot_chunks_shipped, chunks);
+  EXPECT_EQ(source->stats().snapshot_bytes_shipped, frame_bytes);
+  source->Stop();
+}
+
+// A subscriber resuming at epoch E receives exactly the records past E,
+// and no bootstrap.
+TEST(ReplicationTest, ResumingSubscriberReceivesOnlyLaterRecords) {
+  TempDir tmp("repl_resume");
+  ASSERT_TRUE(tmp.ok());
+  const std::string wal = tmp.path("primary.wal");
+  Node primary = MakeChainPrimary(wal);
+  for (int b = 0; b < 6; ++b) {
+    ASSERT_TRUE(
+        fixtures::ApplyChainBatch(primary.db.get(), kDepth, kRows, 13, b)
+            .ok());
+  }
+  auto source = StartSource(&primary, wal);
+  ASSERT_NE(source, nullptr);
+  const uint64_t last = primary.db->commit_epoch();
+  const uint64_t resume = last - 3;
+
+  RawSubscriber sub(source->port(), resume);
+  std::vector<uint64_t> epochs;
+  while (epochs.empty() || epochs.back() < last) {
+    auto payload = sub.Next();
+    ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+    auto msg = DecodeReplRecords(*payload);
+    ASSERT_TRUE(msg.ok()) << "a resuming subscriber got a non-records frame";
+    for (const std::string& rec : msg->records) {
+      auto record = relational::DecodeWalPayload(rec);
+      ASSERT_TRUE(record.ok());
+      epochs.push_back(record->epoch);
+    }
+  }
+  EXPECT_EQ(epochs, (std::vector<uint64_t>{resume + 1, resume + 2, last}));
+  EXPECT_EQ(source->stats().snapshots_shipped, 0u);
   source->Stop();
 }
 

@@ -1,8 +1,8 @@
 // The replication substrate below the wire: WalTailer incremental reads
-// over a live log, and the follower apply path
-// (Database::LoadReplicatedSnapshot / ApplyReplicatedEpoch) proven
-// byte-equal against RecoverFrom — the stream and the log must be the same
-// artifact.
+// over a live log, and the follower apply path (a chunked StateLoader
+// installed by Database::LoadReplicatedSnapshot, then ApplyReplicatedEpoch)
+// proven byte-equal against RecoverFrom — the stream and the log must be
+// the same artifact.
 #include "relational/wal.h"
 
 #include <gtest/gtest.h>
@@ -54,6 +54,28 @@ std::string StateOf(Database* db) {
   auto state = db->SerializePublishedState();
   EXPECT_TRUE(state.ok()) << state.status().ToString();
   return state.ok() ? *state : std::string();
+}
+
+/// Loads `primary`'s published state into a loader of `follower` chunk by
+/// chunk, exactly what the kReplSnapshot frames carry. Returns the loader
+/// (complete) and sets `*epoch` to the bootstrap epoch.
+std::unique_ptr<StateLoader> LoadStateOf(Database* primary,
+                                         const Database& follower,
+                                         uint64_t* epoch,
+                                         size_t chunk_bytes = kStateChunkBytes) {
+  auto snapshot = primary->OpenSnapshot();
+  *epoch = snapshot->epoch();
+  auto loader = follower.NewStateLoader();
+  StateEncoder encoder(primary->schema(), *snapshot);
+  std::string chunk;
+  while (!encoder.done()) {
+    chunk.clear();
+    encoder.AppendChunk(&chunk, chunk_bytes);
+    Status st = loader->Apply(chunk.data(), chunk.size());
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  EXPECT_TRUE(loader->complete());
+  return loader;
 }
 
 // --- WalTailer ------------------------------------------------------------
@@ -257,15 +279,10 @@ TEST(ReplicatedApplyTest, SnapshotBootstrapThenTailMatchesPrimary) {
 
   // Bootstrap at the current epoch, exactly what kReplSnapshot carries.
   uint64_t boot_epoch = 0;
-  std::string state_payload;
-  {
-    auto snapshot = primary->OpenSnapshot();
-    boot_epoch = snapshot->epoch();
-    state_payload = EncodeDatabaseState(primary->schema(), *snapshot);
-  }
   auto follower = MakeEmptyChain();
+  auto loader = LoadStateOf(primary.get(), *follower, &boot_epoch);
   ASSERT_TRUE(
-      follower->LoadReplicatedSnapshot(boot_epoch, state_payload).ok());
+      follower->LoadReplicatedSnapshot(boot_epoch, std::move(loader)).ok());
   EXPECT_EQ(follower->commit_epoch(), boot_epoch);
   EXPECT_EQ(StateOf(follower.get()), StateOf(primary.get()));
 
@@ -282,8 +299,10 @@ TEST(ReplicatedApplyTest, SnapshotBootstrapThenTailMatchesPrimary) {
 
   // A second bootstrap into a non-fresh database must refuse: the wire
   // twin of RecoverFrom's fresh-database precondition.
+  uint64_t again_epoch = 0;
+  auto again = LoadStateOf(primary.get(), *follower, &again_epoch);
   EXPECT_FALSE(
-      follower->LoadReplicatedSnapshot(boot_epoch, state_payload).ok());
+      follower->LoadReplicatedSnapshot(again_epoch, std::move(again)).ok());
 }
 
 TEST(ReplicatedApplyTest, SnapshotBootstrapKeepsPagedTombstonesAndRowIds) {
@@ -299,16 +318,14 @@ TEST(ReplicatedApplyTest, SnapshotBootstrapKeepsPagedTombstonesAndRowIds) {
   ASSERT_TRUE(primary->EnableDurability(opts).ok());
   ASSERT_TRUE(test_support::SeedPagedTombstones(primary.get()).ok());
 
+  // Tiny chunks: tombstone runs and pages straddle chunk boundaries.
   uint64_t boot_epoch = 0;
-  std::string state_payload;
-  {
-    auto snapshot = primary->OpenSnapshot();
-    boot_epoch = snapshot->epoch();
-    state_payload = EncodeDatabaseState(primary->schema(), *snapshot);
-  }
   auto follower = MakeEmptyChain();
+  auto loader = LoadStateOf(primary.get(), *follower, &boot_epoch,
+                            /*chunk_bytes=*/64);
+  EXPECT_GT(loader->chunks_applied(), 4u);
   ASSERT_TRUE(
-      follower->LoadReplicatedSnapshot(boot_epoch, state_payload).ok());
+      follower->LoadReplicatedSnapshot(boot_epoch, std::move(loader)).ok());
   EXPECT_EQ(StateOf(follower.get()), StateOf(primary.get()));
   EXPECT_EQ(test_support::LiveRowsById(follower.get()),
             test_support::LiveRowsById(primary.get()));

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -589,7 +590,8 @@ TEST(WalCheckpointTest, CorruptCheckpointIsFatal) {
   std::string contents = Slurp(ckpt);
   contents[contents.size() / 2] ^= 0x01;
   Dump(ckpt, contents);
-  EXPECT_FALSE(ReadCheckpointFile(ckpt).ok());
+  std::unique_ptr<Database> reader = MakeEmptyChain();
+  EXPECT_FALSE(ReadCheckpointFile(ckpt, reader->NewStateLoader().get()).ok());
 
   std::unique_ptr<Database> recovered = MakeEmptyChain();
   DurabilityOptions opts;
@@ -597,6 +599,227 @@ TEST(WalCheckpointTest, CorruptCheckpointIsFatal) {
   opts.checkpoint_path = ckpt;
   EXPECT_FALSE(recovered->RecoverFrom(opts).ok())
       << "a damaged checkpoint must fail recovery, not silently degrade";
+}
+
+TEST(WalCheckpointTest, CheckpointMissingItsLastChunkIsFatal) {
+  TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  Database* live = nullptr;
+  std::unique_ptr<Database> holder;
+  BuildDurableHistory(tmp.path("db.wal"), 23, 3, &live, &holder);
+  const std::string ckpt = tmp.path("db.ckpt");
+  ASSERT_TRUE(live->WriteCheckpoint(ckpt).ok());
+  std::unique_ptr<Database> reader = MakeEmptyChain();
+  ASSERT_TRUE(ReadCheckpointFile(ckpt, reader->NewStateLoader().get()).ok());
+
+  // Cut the file at the start of its last chunk frame: every remaining
+  // frame checks out, but the final chunk never arrives.
+  std::string contents = Slurp(ckpt);
+  const std::string state = *live->SerializePublishedState();
+  size_t last = 0;
+  for (size_t pos = 0; pos < state.size();) {
+    last = pos;
+    uint32_t len = 0;
+    std::memcpy(&len, state.data() + pos, 4);  // little-endian host
+    pos += 8 + len;
+  }
+  Dump(ckpt, contents.substr(0, contents.size() - (state.size() - last)));
+  auto read = ReadCheckpointFile(ckpt, reader->NewStateLoader().get());
+  EXPECT_FALSE(read.ok());
+}
+
+// --- State codec ----------------------------------------------------------
+
+/// Encodes `db`'s published state into chunks of at most `budget` bytes.
+std::vector<std::string> EncodeChunks(Database* db, size_t budget) {
+  auto snapshot = db->OpenSnapshot();
+  StateEncoder encoder(db->schema(), *snapshot);
+  std::vector<std::string> chunks;
+  while (!encoder.done()) {
+    chunks.emplace_back();
+    encoder.AppendChunk(&chunks.back(), budget);
+  }
+  return chunks;
+}
+
+TEST(WalStateCodecTest, ChunksStayInBudgetAndReloadSlotExactly) {
+  std::unique_ptr<Database> db = MakeEmptyChain();
+  ASSERT_TRUE(test_support::SeedPagedTombstones(db.get()).ok());
+  for (size_t budget : {size_t{48}, size_t{200}, size_t{4096},
+                        kStateChunkBytes}) {
+    std::vector<std::string> chunks = EncodeChunks(db.get(), budget);
+    ASSERT_FALSE(chunks.empty());
+    std::unique_ptr<Database> copy = MakeEmptyChain();
+    auto loader = copy->NewStateLoader();
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      // Chunk 0 also carries the table directory; every chunk holds at
+      // least one slot, so only a single row may overshoot the budget.
+      if (i > 0 && budget >= 200) {
+        EXPECT_LE(chunks[i].size(), budget);
+      }
+      EXPECT_FALSE(loader->complete()) << "complete before chunk " << i;
+      Status st = loader->Apply(chunks[i].data(), chunks[i].size());
+      ASSERT_TRUE(st.ok()) << "budget " << budget << " chunk " << i << ": "
+                           << st.ToString();
+    }
+    EXPECT_TRUE(loader->complete());
+    if (budget == 48) {
+      EXPECT_GT(chunks.size(), 10u);
+    }
+    ASSERT_TRUE(copy->LoadReplicatedSnapshot(7, std::move(loader)).ok());
+    EXPECT_EQ(copy->commit_epoch(), 7u);
+    EXPECT_EQ(*copy->SerializePublishedState(), *db->SerializePublishedState())
+        << "budget " << budget;
+    EXPECT_EQ(test_support::LiveRowsById(copy.get()),
+              test_support::LiveRowsById(db.get()));
+  }
+}
+
+TEST(WalStateCodecTest, LoaderRefusesGapsRepeatsAndEarlyInstall) {
+  std::unique_ptr<Database> db = MakeEmptyChain();
+  ASSERT_TRUE(fixtures::PopulateChain(db.get(), kDepth, 40).ok());
+  std::vector<std::string> chunks = EncodeChunks(db.get(), 256);
+  ASSERT_GE(chunks.size(), 4u);
+  std::unique_ptr<Database> copy = MakeEmptyChain();
+
+  auto skipping = copy->NewStateLoader();
+  ASSERT_TRUE(skipping->Apply(chunks[0].data(), chunks[0].size()).ok());
+  EXPECT_FALSE(skipping->Apply(chunks[2].data(), chunks[2].size()).ok())
+      << "a missing chunk must be refused";
+  EXPECT_FALSE(skipping->Apply(chunks[1].data(), chunks[1].size()).ok())
+      << "a failed loader stays failed";
+
+  auto repeating = copy->NewStateLoader();
+  ASSERT_TRUE(repeating->Apply(chunks[0].data(), chunks[0].size()).ok());
+  EXPECT_FALSE(repeating->Apply(chunks[0].data(), chunks[0].size()).ok());
+
+  // A partial load cannot be installed, and dropping it leaves the
+  // database fresh for the next complete load.
+  auto partial = copy->NewStateLoader();
+  for (size_t i = 0; i + 1 < chunks.size(); ++i) {
+    ASSERT_TRUE(partial->Apply(chunks[i].data(), chunks[i].size()).ok());
+  }
+  EXPECT_FALSE(copy->LoadReplicatedSnapshot(5, std::move(partial)).ok());
+  EXPECT_EQ(copy->commit_epoch(), 0u);
+  auto full = copy->NewStateLoader();
+  for (const std::string& chunk : chunks) {
+    ASSERT_TRUE(full->Apply(chunk.data(), chunk.size()).ok());
+  }
+  EXPECT_FALSE(full->Apply(chunks.back().data(), chunks.back().size()).ok())
+      << "nothing may follow the final chunk";
+  auto complete = copy->NewStateLoader();
+  for (const std::string& chunk : chunks) {
+    ASSERT_TRUE(complete->Apply(chunk.data(), chunk.size()).ok());
+  }
+  ASSERT_TRUE(copy->LoadReplicatedSnapshot(5, std::move(complete)).ok());
+  EXPECT_EQ(*copy->SerializePublishedState(), *db->SerializePublishedState());
+
+  // A state of another schema names tables this one lacks.
+  auto other = Database::Create(fixtures::MakeChainSchema(4));
+  ASSERT_TRUE(other.ok());
+  ASSERT_TRUE(fixtures::PopulateChain(other->get(), 4, 4).ok());
+  std::vector<std::string> foreign = EncodeChunks(other->get(), 1 << 16);
+  std::unique_ptr<Database> target = MakeEmptyChain();
+  auto mismatch = target->NewStateLoader();
+  EXPECT_FALSE(mismatch->Apply(foreign[0].data(), foreign[0].size()).ok());
+}
+
+// --- WalTailer start epoch --------------------------------------------------
+
+// A tailer started past epoch E steps over records 1..E by header alone:
+// it never reads (so never checksums) their payloads. Corrupting the
+// payload of a record at or below E proves it — a tailer that read from
+// offset 0 and dropped old records afterwards hits the CRC mismatch.
+TEST(WalTailerStartTest, StepsOverEarlierRecordsWithoutReadingThem) {
+  TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp.path("skip.wal");
+  constexpr uint64_t kRecords = 12;
+  constexpr uint64_t kStart = 7;
+  std::vector<uint64_t> frame_start;  // file offset of record i+1
+  {
+    auto writer = WalWriter::Open(path, FsyncPolicy::kNever, 1, nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (uint64_t e = 1; e <= kRecords; ++e) {
+      frame_start.push_back((*writer)->bytes_written());
+      ASSERT_TRUE((*writer)->Append(SampleRecord(e)).ok());
+    }
+  }
+  std::string contents = Slurp(path);
+  // Damage the last payload byte of records 3 and kStart; their headers
+  // and leading epochs stay intact.
+  for (uint64_t e : {uint64_t{3}, kStart}) {
+    contents[frame_start[e] - 1] ^= 0x5A;  // record e ends where e+1 starts
+  }
+  Dump(path, contents);
+
+  WalTailer tailer(path, kStart);
+  std::vector<uint64_t> epochs;
+  for (int polls = 0; polls < 20; ++polls) {
+    auto batch = tailer.Poll(/*max_batch_bytes=*/64);
+    ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+    if (batch->empty()) break;
+    for (const auto& rec : *batch) {
+      epochs.push_back(rec.epoch);
+      auto decoded = DecodeWalPayload(rec.payload);
+      ASSERT_TRUE(decoded.ok());
+      ExpectRecordsEqual(*decoded, SampleRecord(rec.epoch));
+    }
+  }
+  std::vector<uint64_t> want;
+  for (uint64_t e = kStart + 1; e <= kRecords; ++e) want.push_back(e);
+  EXPECT_EQ(epochs, want);
+  EXPECT_EQ(tailer.offset(), contents.size());
+  EXPECT_EQ(tailer.known_file_bytes(), contents.size());
+
+  // The control: from offset 0 the damage is real corruption.
+  WalTailer from_zero(path);
+  auto all = from_zero.Poll(64u << 20);
+  EXPECT_FALSE(all.ok()) << "the corrupted payloads were never checked";
+}
+
+TEST(WalTailerStartTest, WaitsOutARecordStillBeingAppended) {
+  TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp.path("grow.wal");
+  {
+    auto writer = WalWriter::Open(path, FsyncPolicy::kNever, 1, nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (uint64_t e = 1; e <= 4; ++e) {
+      ASSERT_TRUE((*writer)->Append(SampleRecord(e)).ok());
+    }
+  }
+  const std::string contents = Slurp(path);
+  // Every prefix: the tailer (past epoch 2) returns nothing it must not,
+  // and never an error, until the records past its start are whole.
+  std::vector<uint64_t> epochs;
+  WalTailer tailer(path, 2);
+  for (size_t cut = 0; cut <= contents.size(); ++cut) {
+    Dump(path, contents.substr(0, cut));
+    // The tailer only ever reads forward, so a growing file is exactly
+    // what it sees while the writer appends.
+    auto batch = tailer.Poll(64u << 20);
+    ASSERT_TRUE(batch.ok()) << "cut " << cut << ": "
+                            << batch.status().ToString();
+    for (const auto& rec : *batch) epochs.push_back(rec.epoch);
+  }
+  EXPECT_EQ(epochs, (std::vector<uint64_t>{3, 4}));
+}
+
+TEST(WalTailerStartTest, OutOfOrderEpochsWhileSkippingAreAnError) {
+  TempDir tmp;
+  ASSERT_TRUE(tmp.ok());
+  const std::string path = tmp.path("order.wal");
+  {
+    auto writer = WalWriter::Open(path, FsyncPolicy::kNever, 1, nullptr);
+    ASSERT_TRUE(writer.ok());
+    for (uint64_t e : {1, 3, 2, 9}) {
+      ASSERT_TRUE((*writer)->Append(SampleRecord(e)).ok());
+    }
+  }
+  WalTailer tailer(path, 5);
+  auto batch = tailer.Poll(64u << 20);
+  EXPECT_FALSE(batch.ok());
 }
 
 }  // namespace

@@ -11,6 +11,11 @@
 //   - TruncateAfter(n)    forwards exactly n more client->server bytes,
 //                         then severs the connection — lets a test tear a
 //                         frame mid-length-prefix;
+//   - SeverDownstreamAfter(n) / CorruptDownstreamAt(n)
+//                         the same faults on the server->client stream of
+//                         the next connection: sever after exactly n
+//                         bytes, or flip one bit of byte n (a frame torn
+//                         or damaged at a chosen offset, e.g. mid-chunk);
 //   - Blackhole(on)       swallows client->server bytes without
 //                         forwarding (the client must hit its deadline,
 //                         never hang);
@@ -65,6 +70,14 @@ class ChaosProxy {
     truncate_remaining_.store(n, std::memory_order_relaxed);
   }
   void Blackhole(bool on) { blackhole_.store(on, std::memory_order_relaxed); }
+  /// Arm before the connection exists: offsets count from its first
+  /// server->client byte. One-shot.
+  void SeverDownstreamAfter(int64_t n) {
+    downstream_sever_at_.store(n, std::memory_order_relaxed);
+  }
+  void CorruptDownstreamAt(int64_t n) {
+    downstream_corrupt_at_.store(n, std::memory_order_relaxed);
+  }
 
   void SeverAll() {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -139,6 +152,15 @@ class ChaosProxy {
 
   void Pump(Conn* conn, int from, int to, bool client_to_server) {
     char buf[4096];
+    // Server->client faults belong to the connection that claims them.
+    int64_t sever_at = -1;
+    int64_t corrupt_at = -1;
+    if (!client_to_server) {
+      sever_at = downstream_sever_at_.exchange(-1, std::memory_order_relaxed);
+      corrupt_at =
+          downstream_corrupt_at_.exchange(-1, std::memory_order_relaxed);
+    }
+    int64_t seen = 0;  // bytes of this direction read so far
     while (!conn->stop.load(std::memory_order_relaxed) &&
            !stopped_.load(std::memory_order_relaxed)) {
       auto deadline =
@@ -156,6 +178,22 @@ class ChaosProxy {
       // A blackhole is silent in both directions — requests vanish and so
       // do responses/heartbeats; only the peers' own deadlines can notice.
       if (blackhole_.load(std::memory_order_relaxed)) continue;
+      if (!client_to_server) {
+        if (corrupt_at >= seen && corrupt_at < seen + static_cast<int64_t>(n)) {
+          buf[corrupt_at - seen] ^= 0x40;
+        }
+        if (sever_at >= 0 && sever_at < seen + static_cast<int64_t>(n)) {
+          const size_t keep = static_cast<size_t>(sever_at - seen);
+          if (keep > 0) {
+            (void)net::SendAll(to, buf, keep,
+                               std::chrono::steady_clock::now() +
+                                   std::chrono::milliseconds(1000));
+          }
+          conn->Sever();
+          break;
+        }
+        seen += static_cast<int64_t>(n);
+      }
       if (client_to_server) {
         bool expected = true;
         if (corrupt_next_.compare_exchange_strong(expected, false)) {
@@ -202,6 +240,8 @@ class ChaosProxy {
   std::atomic<bool> corrupt_next_{false};
   std::atomic<int64_t> truncate_remaining_{-1};
   std::atomic<bool> blackhole_{false};
+  std::atomic<int64_t> downstream_sever_at_{-1};
+  std::atomic<int64_t> downstream_corrupt_at_{-1};
   std::atomic<uint64_t> bytes_forwarded_{0};
 
   std::mutex conns_mu_;

@@ -6,8 +6,8 @@ Usage:
   compare_bench.py CURRENT.json BASELINE.json   # per-benchmark speedups
   compare_bench.py --check CURRENT.json         # validate (CI perf-smoke)
   compare_bench.py CURRENT.json --pair A B --min-speedup 5
-      # assert mean(real_time of benchmarks starting with A)
-      #      / mean(real_time of benchmarks starting with B) >= 5
+      # assert median(real_time of benchmarks starting with A)
+      #      / median(real_time of benchmarks starting with B) >= 5
 
 --check fails (exit 1) when the file is missing, unparsable, or contains no
 benchmarks — the CI perf-smoke step uses it to guarantee the benchmark both
@@ -20,10 +20,14 @@ more than twice its cpu_time, but lacks Google Benchmark's /real_time name
 suffix (UseRealTime()), divides by the benchmark thread's CPU time rather
 than by elapsed time. --pair/--min-speedup additionally turn a performance
 regression (e.g. the hash-join rescue disappearing) into a CI failure.
+The pair compares medians over the iteration runs, so with
+--benchmark_repetitions one slow repetition (a noisy neighbour, a
+descheduled thread) cannot decide the gate the way it moves a mean.
 """
 
 import argparse
 import json
+import statistics
 import sys
 
 
@@ -121,7 +125,7 @@ def pair_speedup(benches, slow_prefix, fast_prefix):
             f"error: --pair found no benchmarks for "
             f"'{slow_prefix}' and/or '{fast_prefix}'"
         )
-    return (sum(slow) / len(slow)) / (sum(fast) / len(fast))
+    return statistics.median(slow) / statistics.median(fast)
 
 
 def main():
@@ -193,9 +197,9 @@ def main():
     if args.pair:
         speedup = pair_speedup(benches, args.pair[0], args.pair[1])
         need = args.min_speedup or 1.0
-        print(f"pair speedup {args.pair[0]} / {args.pair[1]}: {speedup:.1f}x")
+        print(f"pair speedup {args.pair[0]} / {args.pair[1]}: {speedup:.3f}x")
         if speedup < need:
-            sys.exit(f"error: pair speedup {speedup:.1f}x < required {need}x")
+            sys.exit(f"error: pair speedup {speedup:.3f}x < required {need}x")
 
 
 if __name__ == "__main__":
